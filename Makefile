@@ -1,8 +1,6 @@
 GO ?= go
-BENCH_DATE := $(shell date +%Y%m%d)
-BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+.PHONY: all build vet test race race-fault race-shard check bench-build bench-cxlperf-build bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
 all: build
 
@@ -36,10 +34,12 @@ race-shard:
 # check is the gate: vet, build, the reliability-path and sharded-kernel
 # race subsets (fail fast), the full test suite under the race detector,
 # a build-only smoke of the benchmarks (compiles every benchmark without
-# running it, so bit-rot in bench code fails the gate cheaply), a smoke
-# of the bench-compare tooling (parses the committed baseline without
-# running any benchmark), and the report determinism smoke.
-check: vet build race-fault race-shard race bench-build bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+# running it, so bit-rot in bench code fails the gate cheaply), a vet of
+# the bench/cxlperf module (which imports internal packages, so an API
+# deletion that breaks it fails here), a smoke of the bench-compare
+# tooling (parses the committed baseline without running any benchmark),
+# and the report determinism smoke.
+check: vet build race-fault race-shard race bench-build bench-cxlperf-build bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
 # resp-smoke is the end-to-end serving gate: it builds the real cxlserve
 # binary, starts it with the RESP front end and durable spill tier on
@@ -70,16 +70,15 @@ fuzz-smoke:
 	$(GO) test -run=NoSuchTest -fuzz=FuzzTimelineDifferential -fuzztime=10s ./internal/sim
 	$(GO) test -run=NoSuchTest -fuzz=FuzzRESPDecode -fuzztime=10s ./internal/resp
 
-# bench records a benchstat-comparable baseline: 5 repetitions of every
-# benchmark with allocation stats, captured to BENCH_<date>.json. Compare
-# two baselines with `benchstat old new` (not vendored here).
-bench:
-	$(GO) test -bench=. -benchmem -count=5 ./... | tee $(BENCH_OUT)
-
 # bench-build compiles test+benchmark code without executing any tests or
 # benchmarks (-run with a pattern that matches nothing).
 bench-build:
 	$(GO) test -run=NoSuchTest -bench=NoSuchBench ./... > /dev/null
+
+# bench-cxlperf-build vets the end-to-end benchmark (bench/cxlperf, its
+# own module importing cxlsim/internal/... through a replace directive).
+bench-cxlperf-build:
+	$(GO) -C bench/cxlperf vet .
 
 # The gate benchmarks: the paper-figure end-to-end runs whose hot loops
 # this repo optimizes, the timing-wheel kernel microbenchmarks, and the

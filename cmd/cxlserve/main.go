@@ -34,7 +34,7 @@
 //
 // The debug mux (net/http/pprof under /debug/pprof/, expvar under
 // /debug/vars) is registered by obs.RegisterDebug; one-shot commands
-// (cxlbench, cxltrace) take -cpuprofile/-memprofile flags instead.
+// (cxlbench) take -cpuprofile/-memprofile flags instead.
 package main
 
 import (
@@ -80,8 +80,6 @@ type config struct {
 	shedAfterMs  float64
 	drainTimeout time.Duration
 	spillDir     string
-	fleetSize    int
-	shards       int
 	respAddr     string
 	respMaxConns int
 	respFrame    int
@@ -112,8 +110,6 @@ func parseFlags() config {
 	shedAfterMs := flag.Float64("shed-after-ms", 0, "shed requests (503) when virtual queue wait exceeds this (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	spillDir := flag.String("spill-dir", "", "open (recovering if needed) a durable spill tier and expose its I/O and recovery metrics at /metrics")
-	fleetSize := flag.Int("fleet", 1, "simulated serving instances for the startup fleet capacity preview (>1 runs the sharded fleet simulation)")
-	shards := cliutil.Shards(flag.CommandLine)
 	respFlags := cliutil.RESP(flag.CommandLine)
 	flag.Parse()
 
@@ -136,15 +132,6 @@ func parseFlags() config {
 	}
 	if *windowsMs < 0 {
 		usageError("-windows cannot be negative")
-	}
-	if *fleetSize < 1 {
-		usageError("-fleet must be at least 1 (got %d)", *fleetSize)
-	}
-	if err := cliutil.CheckShards(*shards); err != nil {
-		usageError("%v", err)
-	}
-	if *fleetSize == 1 && *shards != 1 {
-		usageError("-shards needs -fleet > 1 (a single instance is one timeline)")
 	}
 	if err := cliutil.CheckRESP(respFlags, cliutil.RESPTuningSet(flag.CommandLine)); err != nil {
 		usageError("%v", err)
@@ -169,8 +156,6 @@ func parseFlags() config {
 		shedAfterMs:  *shedAfterMs,
 		drainTimeout: *drainTimeout,
 		spillDir:     *spillDir,
-		fleetSize:    *fleetSize,
-		shards:       *shards,
 		respAddr:     *respFlags.Addr,
 		respMaxConns: *respFlags.MaxConns,
 		respFrame:    *respFlags.FrameBytes,
@@ -178,6 +163,12 @@ func parseFlags() config {
 }
 
 func run(cfg config) error {
+	// Arm the drain handler before any listener opens: a client may signal
+	// as soon as it reads an announced address, and that signal must take
+	// the graceful path (drain, spill close), not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	// Degrade the devices before the cluster is built: placements and the
 	// steady serving rate then reflect the faulted fabric. A wall-clock
 	// server has no virtual event loop to sequence transitions through, so
@@ -267,23 +258,6 @@ func run(cfg config) error {
 		fmt.Printf("cxlserve: spill tier %s recovered (%s): %s\n", cfg.spillDir, state, rep)
 	}
 
-	if cfg.fleetSize > 1 {
-		// Sharded fleet capacity preview: how this policy/backend shape
-		// behaves as a load-shedding fleet, before taking live traffic.
-		fr, err := llm.ServeFleet(llm.FleetConfig{
-			Instances: cfg.fleetSize,
-			Shards:    cfg.shards,
-			Policy:    cfg.policy,
-			Backends:  cfg.backends,
-			Seed:      42,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("cxlserve: fleet preview: %d instances, %.1f req/s aggregate, p99 %.1f ms, %d shed hops\n",
-			cfg.fleetSize, float64(fr.Served)/(fr.EndNs/1e9), fr.Latency.Percentile(99)/1e6, fr.Forwarded)
-	}
-
 	// RESP front end: a simulated KeyDB store prices every command
 	// (placement, loaded latency, heat) while the real values live in
 	// memory plus the durable spill tier when one is attached.
@@ -334,9 +308,6 @@ func run(cfg config) error {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(httpLn) }()

@@ -181,8 +181,8 @@ func (s *Server) SetResilience(r Resilience) { s.resilience = r }
 // use.
 func (s *Server) SetHealth(fn func() (degraded bool, detail []string)) { s.health = fn }
 
-// Registry exposes the server's metrics registry (e.g. for pcm sampling
-// or merging into a process-wide exporter).
+// Registry exposes the server's metrics registry (e.g. for merging into a
+// process-wide exporter).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Tracer exposes the server's virtual-time tracer.

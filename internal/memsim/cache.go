@@ -1,5 +1,3 @@
-//go:build !nosolvecache
-
 package memsim
 
 import (
@@ -21,8 +19,8 @@ import (
 // topology.Testbed() instances hit the same entries). Open solves are
 // not cached: one pass costs less than encoding the key.
 //
-// Build with -tags nosolvecache to compile the cache out entirely for
-// A/B validation; see cache_off.go.
+// TestSolveCacheABUncached holds cached solves bit-identical to the
+// uncached fixed point (solveClosed).
 
 // solveCacheMaxEntries bounds cache memory. When the map fills, it is
 // cleared wholesale: the workloads that benefit (sweeps, epoch loops)
@@ -44,9 +42,6 @@ var solveCache = struct {
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 }{entries: make(map[string]solveCacheEntry)}
-
-// SolveCacheEnabled reports whether solve memoization was compiled in.
-func SolveCacheEnabled() bool { return true }
 
 // SolveCacheStats reports cache hits, misses, and current entry count
 // since process start (or the last ResetSolveCache).

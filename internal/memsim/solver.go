@@ -60,7 +60,7 @@ func (fr FlowResult) OpsPerSec(bytesPerOp float64) float64 {
 }
 
 // Utilization is a per-resource capacity-fraction snapshot after a solve;
-// the pcm package exposes these as counters.
+// obs.InstrumentMemsim exports it as gauges.
 type Utilization map[*Resource]float64
 
 // SolveObserver receives a callback after every solver pass with the

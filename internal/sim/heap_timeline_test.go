@@ -2,11 +2,13 @@ package sim
 
 import "container/heap"
 
-// heapTimeline is the original container/heap timeline. The timing wheel
-// (wheel.go) replaced it as the default, but it stays compiled in every
-// build so differential tests can replay the same operation sequence
-// against both structures in one binary; -tags simheap selects it as the
-// engine timeline for whole-suite and benchmark comparison.
+// locHeap marks a slot held by heapTimeline (see the loc values in wheel.go).
+const locHeap int32 = -4
+
+// heapTimeline is the original container/heap timeline that the timing
+// wheel (wheel.go) replaced. It survives only as the reference
+// implementation the differential tests (timelinediff_test.go) replay
+// every operation script against.
 type heapTimeline struct {
 	h eventHeap
 }

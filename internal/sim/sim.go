@@ -4,8 +4,7 @@
 // All cxlsim experiments run in virtual time: the kernel owns a virtual
 // clock (nanosecond resolution, stored as float64 so sub-ns device math
 // composes without truncation) and a timeline of pending events — a
-// hierarchical timing wheel by default (wheel.go), or the original
-// container/heap queue under -tags simheap for differential testing.
+// hierarchical timing wheel (wheel.go).
 // Nothing in the library reads the wall clock; determinism is a hard
 // invariant (see TestDeterminism) because the paper's figures must be
 // regenerable bit-for-bit.
@@ -164,10 +163,8 @@ const slabSize = 64
 // usable; call NewEngine.
 type Engine struct {
 	now Time
-	// tl is the pending-event timeline: a timing wheel by default, the
-	// retired binary heap under -tags simheap (see timeline_wheel.go /
-	// timeline_heap.go). Both zero values are ready to use.
-	tl     engineTimeline
+	// tl is the pending-event timeline; its zero value is ready to use.
+	tl     wheel
 	nextSq uint64
 	fired  uint64
 	obs    Observer

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// Differential check between the two timeline implementations. Both the
-// wheel and the retired heap are compiled in every build (the tag only
-// selects which one backs Engine), so one binary can replay the same
-// operation script against both and demand identical observable behavior:
-// same peek, same pop order, same survivors after cancels.
+// Differential check between the engine's timing wheel and the retired
+// heap timeline (heap_timeline_test.go): replay the same operation script
+// against both and demand identical observable behavior: same peek, same
+// pop order, same survivors after cancels.
 
 // tlOps is the common surface of wheel and heapTimeline.
 type tlOps interface {

@@ -2,9 +2,9 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timing wheel: the default data structure behind the
-// engine's pending-event queue (build with -tags simheap to select the
-// retired container/heap timeline instead).
+// Hierarchical timing wheel: the data structure behind the engine's
+// pending-event queue. It replaced a container/heap timeline, which lives
+// on in heap_timeline_test.go as the differential-test reference.
 //
 // Virtual time is bucketed on a 1 ns tick grid. wheelLevels levels of
 // wheelSlots buckets each cover a horizon of 2^(wheelBits*wheelLevels)
@@ -42,7 +42,6 @@ const (
 	locNone int32 = -1 // settled: not in any timeline container
 	locDue  int32 = -2 // wheel due heap
 	locOver int32 = -3 // wheel overflow slice
-	locHeap int32 = -4 // simheap binary-heap timeline
 )
 
 // tick truncates a virtual time to the wheel's 1 ns grid. Sub-nanosecond

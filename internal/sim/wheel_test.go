@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// The wheel-specific tests drive the structure through Engine (so they
-// also run against the heap under -tags simheap, where they double as
-// ordering tests) plus a few direct structural checks.
+// The wheel-specific tests drive the structure through Engine plus a few
+// direct structural checks.
 
 func TestWheelFarFutureOverflow(t *testing.T) {
 	e := NewEngine()
@@ -133,14 +132,9 @@ func TestWheelOccupancyClearsOnCancel(t *testing.T) {
 	}
 }
 
-// Benchmarks. These are the wheel-vs-heap gate: the same names exist
-// under -tags simheap (where Engine runs the retired heap), so
-//
-//	go test -bench BenchmarkWheel ./internal/sim
-//	go test -tags simheap -bench BenchmarkWheel ./internal/sim
-//
-// compares the two timelines on identical workloads. BASELINE.txt records
-// the default (wheel) build.
+// Benchmarks: the engine's fire/schedule/cancel paths on the wheel.
+// bench/BASELINE.txt records them for `make bench-compare`;
+// docs/PERFORMANCE.md keeps the measured wheel-vs-heap history.
 
 type benchRearm struct {
 	e     *Engine
