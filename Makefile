@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race race-fault race-shard check bench-build bench-cxlperf-build bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+.PHONY: all build fmt vet test race race-fault race-shard check bench-build bench-cxlperf-build bench-cxlperf-test bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree (bench/ included) is not
+# gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -31,15 +36,16 @@ race-shard:
 	$(GO) test -race -run 'TestSharded|TestClusterByteIdentical|TestFleetByteIdentical' \
 		./internal/sim ./internal/kvstore ./internal/llm
 
-# check is the gate: vet, build, the reliability-path and sharded-kernel
+# check is the gate: gofmt, vet, build, the reliability-path and sharded-kernel
 # race subsets (fail fast), the full test suite under the race detector,
 # a build-only smoke of the benchmarks (compiles every benchmark without
 # running it, so bit-rot in bench code fails the gate cheaply), a vet of
 # the bench/cxlperf module (which imports internal packages, so an API
-# deletion that breaks it fails here), a smoke of the bench-compare
-# tooling (parses the committed baseline without running any benchmark),
-# and the report determinism smoke.
-check: vet build race-fault race-shard race bench-build bench-cxlperf-build bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+# deletion that breaks it fails here) and its own test (table digests
+# against its goldens and RESP reply checks), a smoke of the
+# bench-compare tooling (parses the committed baseline without running
+# any benchmark), and the report determinism smoke.
+check: fmt vet build race-fault race-shard race bench-build bench-cxlperf-build bench-cxlperf-test bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
 # resp-smoke is the end-to-end serving gate: it builds the real cxlserve
 # binary, starts it with the RESP front end and durable spill tier on
@@ -79,6 +85,13 @@ bench-build:
 # own module importing cxlsim/internal/... through a replace directive).
 bench-cxlperf-build:
 	$(GO) -C bench/cxlperf vet .
+
+# bench-cxlperf-test runs the end-to-end benchmark's own test (about
+# 20 s): tiny-mode table digests against bench/cxlperf/testdata and
+# every RESP reply of a real cxlserve, so kvstore and RESP changes that
+# alter simulated output or the wire fail here.
+bench-cxlperf-test:
+	$(GO) -C bench/cxlperf test .
 
 # The gate benchmarks: the paper-figure end-to-end runs whose hot loops
 # this repo optimizes, the timing-wheel kernel microbenchmarks, and the

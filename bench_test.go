@@ -260,36 +260,3 @@ func BenchmarkShardedYCSB(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationFlashEngine compares the analytic RocksDB cost model
-// against the structural LSM tree behind KeyDB-FLASH: both must yield the
-// same qualitative Fig. 5 conclusion (SSD spill well behind MMEM), with
-// the LSM exposing real write amplification.
-func BenchmarkAblationFlashEngine(b *testing.B) {
-	run := func(useLSM bool) float64 {
-		m := topology.Testbed()
-		alloc := vmm.NewAllocator(m)
-		st, err := kvstore.NewStore(m, alloc, kvstore.StoreConfig{
-			WorkingSetBytes: 512 << 30, SimKeys: 1 << 14,
-			MaxMemoryFrac: 0.6, Flash: true, UseLSM: useLSM,
-			Policy: vmm.Bind{Nodes: m.DRAMNodes(0)},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := kvstore.Run(st, alloc, kvstore.RunConfig{
-			Mix: workload.YCSBA, Ops: 10_000, Seed: 5,
-		})
-		if useLSM {
-			b.ReportMetric(st.LSMStats().WriteAmp, "write-amp")
-		}
-		return res.ThroughputOpsPerSec
-	}
-	var analytic, structural float64
-	for i := 0; i < b.N; i++ {
-		analytic = run(false)
-		structural = run(true)
-	}
-	b.ReportMetric(analytic/1e3, "analytic-kops")
-	b.ReportMetric(structural/1e3, "lsm-kops")
-}

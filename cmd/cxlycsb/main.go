@@ -492,10 +492,6 @@ func printSpill(st *kvstore.Store, label string) {
 		fmt.Printf("[SPILL], %s, RecoveredLiveKeys, %d\n", label, rep.LiveKeys)
 		fmt.Printf("[SPILL], %s, RecoveryClean, %t\n", label, rep.Clean())
 	}
-	if cmp := st.WriteAmpComparison(); cmp.LogAdvantage > 0 {
-		fmt.Printf("[SPILL], %s, LSMWriteAmp, %.3f\n", label, cmp.LSM)
-		fmt.Printf("[SPILL], %s, LogVsLSMAdvantage, %.3f\n", label, cmp.LogAdvantage)
-	}
 	shed, catchup, mismatch := st.SpillCounts()
 	if shed+catchup+mismatch > 0 {
 		fmt.Printf("[SPILL], %s, ShedWrites, %d\n", label, shed)

@@ -32,14 +32,10 @@ type ClusterConfig struct {
 	Seed       int64 // per-node seeds derive from this
 
 	// RemoteFrac is the probability an op is owned by another node
-	// (default 0.1). HopNs is the one-way fabric latency between nodes
-	// (default topology.FabricHopNs) and doubles as the sharded engine's
-	// conservative lookahead: it is the minimum cross-node latency.
+	// (default 0.1). Each remote op crosses one topology.FabricHopNs hop
+	// each way; that hop is also the sharded engine's conservative
+	// lookahead, since it is the minimum cross-node latency.
 	RemoteFrac float64
-	HopNs      float64
-
-	ClientThreads int // per node (RunConfig default when zero)
-	ServerThreads int // per node (RunConfig default when zero)
 
 	// WarmEpochs/WarmDraws pre-converge each node's tiering placement
 	// before measurement (Deployment.Warm); zero skips warming.
@@ -81,12 +77,6 @@ func (cc *ClusterConfig) fill() error {
 	if cc.RemoteFrac < 0 || cc.RemoteFrac > 1 {
 		return fmt.Errorf("kvstore: remote fraction %v outside [0,1]", cc.RemoteFrac)
 	}
-	if cc.HopNs == 0 {
-		cc.HopNs = topology.FabricHopNs
-	}
-	if cc.HopNs <= 0 {
-		return fmt.Errorf("kvstore: fabric hop latency must be positive (got %v)", cc.HopNs)
-	}
 	return nil
 }
 
@@ -102,12 +92,14 @@ type ClusterResult struct {
 	Shards int     // shards actually used (after clamping)
 }
 
+// hop is the one-way fabric latency between cluster nodes.
+const hop = sim.Time(topology.FabricHopNs)
+
 // clusterRun is the shared fabric state linking the per-node run loops.
 type clusterRun struct {
 	se         *sim.ShardedEngine
 	nodes      []*runLoop
 	remoteFrac float64
-	hopNs      float64
 }
 
 // pickDest draws the owning node for a fresh op on rl's destination RNG:
@@ -138,7 +130,7 @@ func (cl *clusterRun) forward(rl *runLoop, p pendingOp, now sim.Time) {
 	}
 	dst := p.dest
 	pp := p
-	cl.se.Send(rl.nodeID, dst, now+sim.Time(cl.hopNs), func(t sim.Time) {
+	cl.se.Send(rl.nodeID, dst, now+hop, func(t sim.Time) {
 		drl := cl.nodes[dst]
 		drl.queue = append(drl.queue, pp)
 		drl.dispatch(t)
@@ -152,7 +144,7 @@ func (cl *clusterRun) respond(rl *runLoop, p pendingOp, now sim.Time) {
 	origin := p.origin
 	pp := p
 	pp.fromRemote = false
-	cl.se.Send(rl.nodeID, origin, now+sim.Time(cl.hopNs), func(t sim.Time) {
+	cl.se.Send(rl.nodeID, origin, now+hop, func(t sim.Time) {
 		cl.nodes[origin].completeOp(pp, t)
 	})
 }
@@ -165,7 +157,7 @@ func (cl *clusterRun) respondTimeout(rl *runLoop, p pendingOp, now sim.Time) {
 	origin := p.origin
 	pp := p
 	deadline := now + sim.Time(rl.timeoutNs)
-	cl.se.Send(rl.nodeID, origin, deadline+sim.Time(cl.hopNs), func(t sim.Time) {
+	cl.se.Send(rl.nodeID, origin, deadline+hop, func(t sim.Time) {
 		cl.nodes[origin].remoteTimedOut(pp, t)
 	})
 }
@@ -180,12 +172,11 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	if err := cc.fill(); err != nil {
 		return nil, err
 	}
-	se := sim.NewSharded(cc.Nodes, cc.Shards, sim.Time(cc.HopNs))
+	se := sim.NewSharded(cc.Nodes, cc.Shards, hop)
 	cl := &clusterRun{
 		se:         se,
 		nodes:      make([]*runLoop, cc.Nodes),
 		remoteFrac: cc.RemoteFrac,
-		hopNs:      cc.HopNs,
 	}
 
 	started := make([]*startedRun, cc.Nodes)
@@ -205,8 +196,6 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 			return nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		rc.Ops = cc.OpsPerNode
-		rc.ClientThreads = cc.ClientThreads
-		rc.ServerThreads = cc.ServerThreads
 		if cc.Metrics != nil {
 			regs[i] = obs.NewRegistry()
 			rc.Metrics = regs[i]

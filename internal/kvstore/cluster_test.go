@@ -122,7 +122,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		"zero nodes":      {Nodes: 0, Config: ConfMMEM, Mix: workload.YCSBB},
 		"negative shards": {Nodes: 2, Shards: -1, Config: ConfMMEM, Mix: workload.YCSBB},
 		"bad remote frac": {Nodes: 2, RemoteFrac: 1.5, Config: ConfMMEM, Mix: workload.YCSBB},
-		"bad hop":         {Nodes: 2, HopNs: -1, Config: ConfMMEM, Mix: workload.YCSBB},
 	} {
 		if _, err := RunCluster(cc); err == nil {
 			t.Fatalf("%s: RunCluster accepted invalid config", name)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cxlsim/internal/lsm"
 	"cxlsim/internal/obs"
 	"cxlsim/internal/spill"
 )
@@ -24,16 +23,11 @@ import (
 // device heals, the dirty set is re-persisted in one deterministic
 // catch-up pass.
 
-const (
-	// spillPayloadCap bounds the on-disk record body so huge simulated
-	// value sizes don't translate into huge real files.
-	spillPayloadCap = 4096
-	// defaultSpillSyncEvery is the group-commit window: records per
-	// fsync on the store's write-through path. The crash matrix runs the
-	// spill tier directly at SyncEvery=1; the store trades a bounded ack
-	// window for not fsyncing every simulated op.
-	defaultSpillSyncEvery = 8
-)
+// spillSyncEvery is the group-commit window: records per fsync on the
+// store's write-through path. The crash matrix runs the spill tier
+// directly at SyncEvery=1; the store trades a bounded ack window for not
+// fsyncing every simulated op.
+const spillSyncEvery = 8
 
 // spillState carries the durable tier and its degraded-mode bookkeeping.
 type spillState struct {
@@ -52,28 +46,17 @@ type spillState struct {
 // openSpill attaches the durable tier to the store, recovering whatever
 // a previous process left in the directory.
 func (s *Store) openSpill() error {
-	sync := s.cfg.SpillSyncEvery
-	if sync == 0 {
-		sync = defaultSpillSyncEvery
-	}
-	d, _, err := spill.Open(spill.Options{Dir: s.cfg.SpillDir, SyncEvery: sync})
+	d, _, err := spill.Open(spill.Options{Dir: s.cfg.SpillDir, SyncEvery: spillSyncEvery})
 	if err != nil {
 		return fmt.Errorf("kvstore: opening spill tier: %w", err)
-	}
-	payload := int(s.cfg.ValueBytes)
-	if payload > spillPayloadCap {
-		payload = spillPayloadCap
-	}
-	if payload < 16 {
-		payload = 16
 	}
 	sp := &spillState{
 		dir:     d,
 		healthy: true,
 		dirty:   map[uint64]struct{}{},
-		valBuf:  make([]byte, payload),
+		valBuf:  make([]byte, valueBytes),
 	}
-	for i := 8; i < payload; i++ {
+	for i := 8; i < valueBytes; i++ {
 		sp.valBuf[i] = 0xa5
 	}
 	s.spill = sp
@@ -198,16 +181,6 @@ func (s *Store) SpillCounts() (shed, catchup, mismatch uint64) {
 		return 0, 0, 0
 	}
 	return s.spill.shed, s.spill.catchup, s.spill.mismatch
-}
-
-// WriteAmpComparison contrasts the structural LSM engine's write
-// amplification with the durable spill tier's measured one.
-// Zero-valued unless both engines are active (UseLSM plus SpillDir).
-func (s *Store) WriteAmpComparison() lsm.WriteAmpComparison {
-	if s.tree == nil || s.spill == nil {
-		return lsm.WriteAmpComparison{}
-	}
-	return s.tree.Stats().CompareWriteAmp(s.spill.dir.Stats().WriteAmplification())
 }
 
 // SpillDirty reports how many shed keys still await catch-up.

@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"cxlsim/internal/fault"
-	"cxlsim/internal/lsm"
 	"cxlsim/internal/sim"
 	"cxlsim/internal/spill"
-	"cxlsim/internal/topology"
-	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
 )
 
@@ -161,42 +158,6 @@ func TestDurableBrownoutFromSchedule(t *testing.T) {
 	inj.Reset()
 	if _, catchup, _ := s.SpillCounts(); catchup != 1 {
 		t.Fatalf("catchup=%d after fault cleared, want 1", catchup)
-	}
-}
-
-// TestWriteAmpComparisonHook runs the structural LSM engine and the
-// durable spill tier side by side and checks the comparison hook lines
-// the two write-amplification figures up: the LSM pays compaction up
-// front, the append-only log only framing overhead, so the log side
-// must come out at least as cheap.
-func TestWriteAmpComparisonHook(t *testing.T) {
-	m := topology.Testbed()
-	alloc := vmm.NewAllocator(m)
-	st, err := NewStore(m, alloc, StoreConfig{
-		WorkingSetBytes: 512 << 30, SimKeys: 1 << 12,
-		MaxMemoryFrac: 0.6, Flash: true, UseLSM: true,
-		SpillDir: t.TempDir(),
-		Policy:   vmm.Bind{Nodes: m.DRAMNodes(0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(st, alloc, RunConfig{Mix: workload.YCSBA, Ops: 5000, Seed: 3})
-	cmp := st.WriteAmpComparison()
-	if cmp.LSM < 1 || cmp.Log < 1 {
-		t.Fatalf("both engines should have written: %+v", cmp)
-	}
-	if cmp.LogAdvantage < 1 {
-		t.Fatalf("append-only log amplification should not exceed the LSM's: %+v", cmp)
-	}
-	if err := st.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Without the LSM the comparison is a nil-safe zero value.
-	d := durableDeploy(t, t.TempDir())
-	if c := d.Store.WriteAmpComparison(); c != (lsm.WriteAmpComparison{}) {
-		t.Fatalf("non-LSM store should report a zero comparison: %+v", c)
 	}
 }
 

@@ -136,59 +136,6 @@ func TestWarmIdempotentForStaticConfigs(t *testing.T) {
 	}
 }
 
-// TestLSMFlashEngine: the structural LSM behind the Flash path produces
-// the same qualitative result as the analytic model (SSD config slower
-// than MMEM, high hit rate) while exposing real tree dynamics.
-func TestLSMFlashEngine(t *testing.T) {
-	m := topology.Testbed()
-	alloc := vmm.NewAllocator(m)
-	st, err := NewStore(m, alloc, StoreConfig{
-		WorkingSetBytes: 512 << 30, SimKeys: 1 << 14,
-		MaxMemoryFrac: 0.6, Flash: true, UseLSM: true,
-		Policy: vmm.Bind{Nodes: m.DRAMNodes(0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(st, alloc, RunConfig{Mix: workload.YCSBA, Ops: 10_000, Seed: 5})
-	if res.ThroughputOpsPerSec <= 0 {
-		t.Fatal("no throughput")
-	}
-	stats := st.LSMStats()
-	if stats.TotalSSTBytes == 0 {
-		t.Fatal("LSM tree should hold the persisted keyspace")
-	}
-	if stats.WriteAmp < 1 {
-		t.Fatalf("write amp = %v, want ≥1", stats.WriteAmp)
-	}
-	// Same qualitative conclusion as the analytic model: well below the
-	// all-MMEM configuration.
-	mm := topology.Testbed()
-	mmAlloc := vmm.NewAllocator(mm)
-	mmSt, err := NewStore(mm, mmAlloc, StoreConfig{
-		WorkingSetBytes: 512 << 30, SimKeys: 1 << 14, MaxMemoryFrac: 1,
-		Policy: vmm.Bind{Nodes: mm.DRAMNodes(0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Run(mmSt, mmAlloc, RunConfig{Mix: workload.YCSBA, Ops: 10_000, Seed: 5})
-	slow := base.ThroughputOpsPerSec / res.ThroughputOpsPerSec
-	if slow < 1.3 || slow > 3.5 {
-		t.Fatalf("LSM-flash slowdown = %.2f, want the SSD-config band", slow)
-	}
-}
-
-func TestLSMStatsNilSafe(t *testing.T) {
-	d, err := Deploy(ConfMMEM, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Store.LSMStats(); s.TotalSSTBytes != 0 {
-		t.Fatal("non-LSM store should report zero stats")
-	}
-}
-
 func TestResultP99Accessor(t *testing.T) {
 	d, err := Deploy(ConfMMEM, fastOpts())
 	if err != nil {

@@ -186,18 +186,32 @@ func (b *RESPBackend) Set(key, val []byte) error {
 	return b.set("set", key, val)
 }
 
-// set is the shared write path. Caller holds b.mu.
-func (b *RESPBackend) set(cmd string, key, val []byte) error {
+// checkPair validates one key/value pair of a write.
+func (b *RESPBackend) checkPair(key, val []byte) error {
 	if err := b.checkKey(key); err != nil {
 		return err
 	}
 	if len(val) > spill.MaxValLen {
 		return resp.ReplyError(fmt.Sprintf("ERR value exceeds %d bytes", spill.MaxValLen))
 	}
+	return nil
+}
+
+// set is the shared write path. Caller holds b.mu.
+func (b *RESPBackend) set(cmd string, key, val []byte) error {
+	if err := b.checkPair(key, val); err != nil {
+		return err
+	}
 	if b.brownedOut() {
 		b.shedWrite()
 		return errBusy
 	}
+	return b.put(cmd, key, val)
+}
+
+// put writes one validated pair through the tier and into memory.
+// Caller holds b.mu.
+func (b *RESPBackend) put(cmd string, key, val []byte) error {
 	if b.tier != nil {
 		if err := b.tier.Put(key, val); err != nil {
 			// Device failure mid-flight: same client contract as a
@@ -229,11 +243,14 @@ func (b *RESPBackend) Del(keys [][]byte) (int64, error) {
 		b.shedWrite()
 		return 0, errBusy
 	}
-	var n int64
+	// Reject the whole command before deleting anything.
 	for _, key := range keys {
 		if err := b.checkKey(key); err != nil {
-			return n, err
+			return 0, err
 		}
+	}
+	var n int64
+	for _, key := range keys {
 		_, inMem := b.vals[string(key)]
 		onDisk := b.tier != nil && b.tier.Has(key)
 		if !inMem && !onDisk {
@@ -314,12 +331,24 @@ func (b *RESPBackend) MGet(keys [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// MSet implements resp.Backend.
+// MSet implements resp.Backend. Every pair is validated, and the
+// brownout checked, before any is written, so a bad argument rejects the
+// whole command. A spill-device error part-way through is per pair: the
+// pairs before it stay written, the rest are not attempted.
 func (b *RESPBackend) MSet(pairs [][]byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := 0; i+1 < len(pairs); i += 2 {
-		if err := b.set("mset", pairs[i], pairs[i+1]); err != nil {
+		if err := b.checkPair(pairs[i], pairs[i+1]); err != nil {
+			return err
+		}
+	}
+	if b.brownedOut() {
+		b.shedWrite()
+		return errBusy
+	}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if err := b.put("mset", pairs[i], pairs[i+1]); err != nil {
 			return err
 		}
 	}

@@ -203,6 +203,39 @@ func TestRESPBackendBrownout(t *testing.T) {
 	}
 }
 
+// TestRESPBackendMultiKeyAllOrNothing: an invalid argument anywhere in
+// MSET or DEL rejects the whole command before any key is written or
+// deleted, in memory and on disk.
+func TestRESPBackendMultiKeyAllOrNothing(t *testing.T) {
+	tier := openTier(t, t.TempDir())
+	b := NewRESPBackend(respStore(t), tier)
+
+	// The empty key is unrepresentable in durable mode.
+	if err := b.MSet([][]byte{[]byte("a"), []byte("1"), nil, []byte("2")}); err == nil {
+		t.Fatal("durable MSET accepted an empty key")
+	}
+	if _, ok, _ := b.Get([]byte("a")); ok || tier.Has([]byte("a")) {
+		t.Fatal("rejected MSET still set its first key")
+	}
+	big := make([]byte, spill.MaxValLen+1)
+	if err := b.MSet([][]byte{[]byte("a"), []byte("1"), []byte("b"), big}); err == nil {
+		t.Fatal("MSET accepted an oversized value")
+	}
+	if _, ok, _ := b.Get([]byte("a")); ok || tier.Has([]byte("a")) {
+		t.Fatal("MSET rejected for an oversized value still set its first key")
+	}
+
+	if err := b.Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Del([][]byte{[]byte("k"), nil}); err == nil {
+		t.Fatal("durable DEL accepted an empty key")
+	}
+	if v, ok, _ := b.Get([]byte("k")); !ok || string(v) != "v" || !tier.Has([]byte("k")) {
+		t.Fatal("rejected DEL still deleted its first key")
+	}
+}
+
 func asReplyError(err error, out *resp.ReplyError) bool {
 	re, ok := err.(resp.ReplyError)
 	if ok {

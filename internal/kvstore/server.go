@@ -20,17 +20,21 @@ type OpSource interface {
 	Next() workload.Op
 }
 
+// Closed-loop client constants (§4.1.1 methodology).
+const (
+	clientThreads = 32     // YCSB client threads per node
+	networkRTTNs  = 10_000 // client↔server round trip over the 100 Gbps network
+)
+
 // RunConfig drives one YCSB run against a store (§4.1.1 methodology: a
 // YCSB client on the baseline server issues closed-loop requests over the
-// 100 Gbps network to a KeyDB instance with seven server-threads).
+// 100 Gbps network to a KeyDB instance with seven server-threads). The
+// first Ops/4 operations warm up the run and are not measured.
 type RunConfig struct {
 	Mix           workload.YCSBMix
-	ClientThreads int // closed-loop YCSB client threads (default 32)
 	ServerThreads int // KeyDB server-threads (default 7, §4.1.1)
 	Ops           int // measured operations (default 50_000)
-	WarmupOps     int // operations before measurement (default Ops/4)
 	Seed          int64
-	NetworkRTTNs  float64 // client↔server round trip (default 10 µs)
 
 	// Source overrides the YCSB generator with an arbitrary operation
 	// stream (e.g. a trace.Replayer); Mix is then only used for cache
@@ -80,20 +84,11 @@ type RunConfig struct {
 }
 
 func (rc *RunConfig) fill() {
-	if rc.ClientThreads == 0 {
-		rc.ClientThreads = 32
-	}
 	if rc.ServerThreads == 0 {
 		rc.ServerThreads = 7
 	}
 	if rc.Ops == 0 {
 		rc.Ops = 50_000
-	}
-	if rc.WarmupOps == 0 {
-		rc.WarmupOps = rc.Ops / 4
-	}
-	if rc.NetworkRTTNs == 0 {
-		rc.NetworkRTTNs = 10_000
 	}
 	if rc.EpochNs == 0 {
 		rc.EpochNs = 10e6
@@ -109,7 +104,7 @@ func (rc *RunConfig) fill() {
 			rc.MaxRetries = 0
 		}
 	}
-	if rc.ClientThreads < 1 || rc.ServerThreads < 1 || rc.Ops < 1 {
+	if rc.ServerThreads < 1 || rc.Ops < 1 {
 		panic(fmt.Sprintf("kvstore: invalid run config %+v", *rc))
 	}
 }
@@ -267,7 +262,8 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		readH:      readH,
 		opsC:       opsC,
 		free:       rc.ServerThreads,
-		totalOps:   rc.Ops + rc.WarmupOps,
+		warmupOps:  rc.Ops / 4,
+		totalOps:   rc.Ops + rc.Ops/4,
 		inflight:   make([]pendingOp, rc.ServerThreads),
 		slots:      make([]uint64, rc.ServerThreads),
 		timeoutNs:  rc.TimeoutNs,
@@ -321,14 +317,14 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		rc.Windows.Flush(now)
 	})
 
-	for i := 0; i < rc.ClientThreads; i++ {
+	for i := 0; i < clientThreads; i++ {
 		p := pendingOp{op: gen.Next(), issue: 0, dest: nodeID}
 		if cl != nil {
 			p.dest = cl.pickDest(rl)
 		}
 		rl.queue = append(rl.queue, p)
 	}
-	rl.inflightOps = rc.ClientThreads
+	rl.inflightOps = clientThreads
 	rl.dispatch(0)
 	return &startedRun{rl: rl, ticker: ticker}
 }
@@ -388,6 +384,7 @@ type runLoop struct {
 	queue        []pendingOp
 	head         int // queue[head:] is the live FIFO
 	free         int // idle server threads
+	warmupOps    int // completions before measurement starts
 	totalOps     int
 	completed    int
 	measureStart sim.Time
@@ -445,15 +442,15 @@ func (rl *runLoop) completeOp(p pendingOp, now sim.Time) {
 	rc := rl.rc
 	rl.completed++
 	rl.inflightOps--
-	if rl.completed == rc.WarmupOps {
+	if rl.completed == rl.warmupOps {
 		rl.measureStart = now
 	}
 	if rl.opsC != nil {
 		rl.opsC.With(p.op.Kind.String()).Inc()
 	}
-	if rl.completed > rc.WarmupOps {
+	if rl.completed > rl.warmupOps {
 		rl.measuredOps++
-		l := float64(now-p.issue) + rc.NetworkRTTNs
+		l := float64(now-p.issue) + networkRTTNs
 		kind := p.op.Kind.String()
 		spanID := rc.Tracer.SpanWithID("kvstore", kind, p.issue, now, nil)
 		ex := obs.Exemplar{AtNs: float64(now), SpanID: spanID, Track: "kvstore", Span: kind}
@@ -608,7 +605,7 @@ func (rl *runLoop) finishFailed(now sim.Time) {
 	if rl.flC != nil {
 		rl.flC.Inc()
 	}
-	if rl.completed == rl.rc.WarmupOps {
+	if rl.completed == rl.warmupOps {
 		rl.measureStart = now
 	}
 	rl.generate(now)
@@ -808,7 +805,7 @@ func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed 
 		now += sim.Millisecond * 10
 		// Same heat weight per op as ServiceTime, so warm-phase heat and
 		// measurement-phase heat are on one scale.
-		weight := d.Store.depth + d.Store.lines
+		weight := d.Store.depth + valueLines
 		for i := 0; i < drawsPerEpoch; i++ {
 			op := gen.Next()
 			space.Touch(d.Store.pageOf(op.Key%uint64(d.Store.cfg.SimKeys)), weight, now)

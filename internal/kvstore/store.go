@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 
-	"cxlsim/internal/lsm"
 	"cxlsim/internal/memsim"
 	"cxlsim/internal/sim"
 	"cxlsim/internal/topology"
@@ -49,6 +48,11 @@ const (
 
 	// serviceSigma is the log-normal σ of per-op service-time jitter.
 	serviceSigma = 0.25
+
+	// valueBytes is the record size (the paper's 1 KB YCSB records) and
+	// valueLines the cachelines one value copy streams.
+	valueBytes = 1024
+	valueLines = valueBytes / 64
 )
 
 // DefaultDepth estimates the serialized (pointer-chasing) memory accesses
@@ -117,9 +121,6 @@ type Store struct {
 	lastPeak map[string]float64
 
 	depth float64 // serialized accesses per op (cost model)
-	lines float64 // value cachelines per op
-
-	tree *lsm.Tree // non-nil when cfg.UseLSM
 
 	spill *spillState // non-nil when cfg.SpillDir is set (durable mode)
 
@@ -135,24 +136,11 @@ type StoreConfig struct {
 	MaxMemoryFrac   float64 // fraction of the working set allowed in memory (1.0 = all)
 	Flash           bool    // spill past maxmemory to SSD (KeyDB-FLASH)
 	Policy          vmm.Policy
-	Socket          int     // where the server threads run
-	ValueBytes      float64 // record size (0 ⇒ 1024, the paper's default)
-	// DependentAccesses overrides the serialized access depth per op
-	// (0 ⇒ DefaultDepth(WorkingSetBytes)).
-	DependentAccesses float64
-	// UseLSM backs the Flash path with the structural LSM-tree model
-	// (internal/lsm) instead of the analytic RocksDB cost constants:
-	// compaction I/O, bloom-filtered reads, and the block cache then
-	// emerge from tree dynamics.
-	UseLSM bool
 	// SpillDir, when non-empty (requires Flash), backs the spill path
 	// with a real on-disk durable log (internal/spill): writes persist
 	// through it, read misses verify against it, and SSD brownouts from
 	// the fault schedule switch it into shedding mode. See durable.go.
 	SpillDir string
-	// SpillSyncEvery is the durable tier's group-commit window
-	// (records per fsync; 0 ⇒ 8).
-	SpillSyncEvery int
 }
 
 // NewStore allocates the store's heap on the machine under the policy.
@@ -174,16 +162,8 @@ func NewStore(m *topology.Machine, alloc *vmm.Allocator, cfg StoreConfig) (*Stor
 		ssd:      m.SSDPath(),
 		resident: make([]bool, cfg.SimKeys),
 		clockRef: make([]uint8, cfg.SimKeys),
+		depth:    DefaultDepth(cfg.WorkingSetBytes),
 	}
-	if cfg.ValueBytes == 0 {
-		cfg.ValueBytes = 1024
-	}
-	s.cfg = cfg
-	s.depth = cfg.DependentAccesses
-	if s.depth == 0 {
-		s.depth = DefaultDepth(cfg.WorkingSetBytes)
-	}
-	s.lines = cfg.ValueBytes / 64
 	memBytes := uint64(float64(cfg.WorkingSetBytes) * cfg.MaxMemoryFrac)
 	if err := alloc.Alloc(s.space, memBytes, cfg.Policy); err != nil {
 		return nil, fmt.Errorf("kvstore: allocating %d bytes: %w", memBytes, err)
@@ -203,24 +183,6 @@ func NewStore(m *topology.Machine, alloc *vmm.Allocator, cfg StoreConfig) (*Stor
 	}
 	s.memKeys = s.cacheCap
 	s.rng = rand.New(rand.NewSource(1))
-	if cfg.Flash && cfg.UseLSM {
-		// Scale the memtable to the simulated keyspace (≈64 flushes over
-		// a full load) so tree dynamics appear at any SimKeys scale.
-		memtable := uint64(float64(cfg.SimKeys) * cfg.ValueBytes / 64)
-		if memtable < 64<<10 {
-			memtable = 64 << 10
-		}
-		if memtable > 64<<20 {
-			memtable = 64 << 20
-		}
-		s.tree = lsm.New(lsm.Config{Seed: 7, MemtableBytes: memtable, BlockCacheBytes: 4 * memtable})
-		// The load phase persisted every record; seed the tree with the
-		// full keyspace so Gets have structure to hit.
-		for k := uint64(0); k < uint64(cfg.SimKeys); k++ {
-			s.tree.Put(k, int(s.cfg.ValueBytes))
-		}
-		s.tree.DrainIO() // load-phase I/O predates measurement
-	}
 	if cfg.SpillDir != "" {
 		if !cfg.Flash {
 			return nil, fmt.Errorf("kvstore: SpillDir requires a Flash configuration")
@@ -242,14 +204,6 @@ func (s *Store) Machine() *topology.Machine { return s.machine }
 // every fault transition so service times react immediately; the next
 // epoch's EpochFlows re-solves with real traffic.
 func (s *Store) Resolve() { s.refreshLatencies(nil) }
-
-// LSMStats exposes the Flash tree's shape (nil-safe; zero without LSM).
-func (s *Store) LSMStats() lsm.Stats {
-	if s.tree == nil {
-		return lsm.Stats{}
-	}
-	return s.tree.Stats()
-}
 
 // WarmCache converges the Flash resident set to the workload's hot keys
 // before measurement (the paper measures steady state, not cold start).
@@ -317,13 +271,14 @@ func (s *Store) touchNode(n *topology.Node) {
 	}
 }
 
-// pathTo returns (cached) the path from the server socket to a node.
+// pathTo returns (cached) the path from the server threads' socket 0 to
+// a node.
 func (s *Store) pathTo(n *topology.Node) *memsim.Path {
 	s.growNode(n.ID)
 	if p := s.paths[n.ID]; p != nil {
 		return p
 	}
-	p := s.machine.PathFrom(s.cfg.Socket, n)
+	p := s.machine.PathFrom(0, n)
 	s.paths[n.ID] = p
 	return p
 }
@@ -359,12 +314,12 @@ func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
 	// jitter models per-op variance (dict chain length, allocator state,
 	// interrupt noise) and is what gives the latency CDFs of Fig. 5(c)
 	// and Fig. 8(a) their spread.
-	memNs := s.depth*lat + s.lines*lat/streamMLP
+	memNs := s.depth*lat + valueLines*lat/streamMLP
 	t := (softwareNs + memNs) * math.Exp(s.rng.NormFloat64()*serviceSigma)
-	s.space.Touch(page, s.depth+s.lines, now)
+	s.space.Touch(page, s.depth+valueLines, now)
 
 	read := op.Kind == workload.OpRead || op.Kind == workload.OpScan
-	lineBytes := s.depth*64 + s.cfg.ValueBytes
+	lineBytes := s.depth*64 + valueBytes
 	s.touchNode(node)
 	if read {
 		s.nodeReadBytes[node.ID] += lineBytes
@@ -376,17 +331,9 @@ func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
 		if !s.resident[key] {
 			s.misses++
 			if read {
-				if s.tree != nil {
-					// Structural LSM read: pay one SSD latency per
-					// block that missed the tree's block cache.
-					c := s.tree.Get(key)
-					t += float64(c.SSDReads)*s.ssdLatency + flashReadSoftwareNs
-					s.ssdReadBytes += float64(c.BlockBytes)
-				} else {
-					// Analytic RocksDB Get from SSD.
-					t += s.ssdLatency + flashReadSoftwareNs
-					s.ssdReadBytes += s.cfg.ValueBytes
-				}
+				// Analytic RocksDB Get from SSD.
+				t += s.ssdLatency + flashReadSoftwareNs
+				s.ssdReadBytes += valueBytes
 			}
 			if read && s.spill != nil {
 				// Durable mode: a miss read hits the spill tier; verify
@@ -403,12 +350,7 @@ func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
 		if !read {
 			// KeyDB-FLASH persists every write to disk.
 			t += flashWriteSoftwareNs
-			if s.tree != nil {
-				c := s.tree.Put(key, int(s.cfg.ValueBytes))
-				s.ssdWriteBytes += float64(c.WALBytes)
-			} else {
-				s.ssdWriteBytes += s.cfg.ValueBytes
-			}
+			s.ssdWriteBytes += valueBytes
 			if s.spill != nil {
 				// Durable mode: the write persists through the real
 				// on-disk log (or is shed during a brownout). Spill I/O
@@ -459,12 +401,6 @@ func (s *Store) EpochFlows(epochNs float64) {
 			Mix:       memsim.Mix{ReadFrac: r / total},
 			Offered:   total / epochNs,
 		})
-	}
-	if s.tree != nil {
-		// Background flush/compaction traffic contends on the SSD.
-		r, w := s.tree.DrainIO()
-		s.ssdReadBytes += float64(r)
-		s.ssdWriteBytes += float64(w)
 	}
 	ssdTotal := s.ssdReadBytes + s.ssdWriteBytes
 	if ssdTotal > 0 {

@@ -12,13 +12,16 @@ import (
 // FleetConfig drives a multi-instance serving simulation: M LightLLM
 // instances (each the §5.1 stack at a fixed policy and backend count)
 // behind independent request arrival streams, connected by the testbed
-// fabric. An instance whose decode backlog exceeds ShedBacklogNs
-// forwards an arriving request one hop to its ring neighbor — LightLLM's
-// router-level load shedding — and the neighbor serves it regardless of
-// its own backlog (requests forward at most once, so there is no
-// ping-pong). The run executes on a sim.ShardedEngine with one logical
-// partition per instance; results are byte-identical at any Shards
-// setting.
+// fabric. Requests arrive with exponential gaps whose mean is the mean
+// request service time, so each instance is offered ~100% load and
+// shedding actually engages. An instance whose decode backlog exceeds 4×
+// the mean service time forwards an arriving request one
+// topology.FabricHopNs hop to its ring neighbor — LightLLM's router-level
+// load shedding — and the neighbor serves it regardless of its own
+// backlog (requests forward at most once, so there is no ping-pong). The
+// run executes on a sim.ShardedEngine with one logical partition per
+// instance and the hop as its lookahead; results are byte-identical at
+// any Shards setting.
 type FleetConfig struct {
 	Instances int // fleet size (≥ 1)
 	Shards    int // parallel shards (default 1; clamped to Instances)
@@ -28,17 +31,6 @@ type FleetConfig struct {
 
 	RequestsPerInstance int   // arrivals per instance (default 1000)
 	Seed                int64 // per-instance streams derive from this
-
-	// MeanArrivalNs is the mean request inter-arrival per instance
-	// (exponential; default ≈ the mean request service time, i.e. each
-	// instance offered ~100% load so shedding actually engages).
-	MeanArrivalNs float64
-	// ShedBacklogNs is the decode backlog beyond which an arriving local
-	// request is forwarded (default 4× the mean request service time).
-	ShedBacklogNs float64
-	// HopNs is the one-way fabric latency between instances (default
-	// topology.FabricHopNs); it is also the engine's lookahead.
-	HopNs float64
 }
 
 // InstanceStats is one instance's tally.
@@ -58,16 +50,18 @@ type FleetResult struct {
 	EndNs       float64
 	Epochs      uint64
 	Shards      int
-	// TokenNs is the per-token decode time every instance runs at (from
-	// the policy's ServingRate), for sizing arrival rates.
-	TokenNs float64
 }
 
+// hop is the one-way fabric latency between fleet instances.
+const hop = sim.Time(topology.FabricHopNs)
+
 type fleet struct {
-	cfg       FleetConfig
 	se        *sim.ShardedEngine
 	instances []*fleetInstance
 	tokenNs   float64
+	// meanSvcNs is the mean request service time: the mean arrival gap,
+	// and a quarter of the backlog beyond which arrivals are shed.
+	meanSvcNs float64
 }
 
 type fleetInstance struct {
@@ -90,7 +84,7 @@ func (in *fleetInstance) arrive(now sim.Time) {
 	}
 	in.remaining--
 	in.admit(now, now, false)
-	gap := sim.Time(in.rng.ExpFloat64() * in.f.cfg.MeanArrivalNs)
+	gap := sim.Time(in.rng.ExpFloat64() * in.f.meanSvcNs)
 	in.f.se.Partition(in.id).At(now+1+gap, in.arrive)
 }
 
@@ -100,10 +94,10 @@ func (in *fleetInstance) arrive(now sim.Time) {
 // the hop inside their measured latency.
 func (in *fleetInstance) admit(now, issue sim.Time, forwarded bool) {
 	f := in.f
-	if !forwarded && len(f.instances) > 1 && float64(in.busyUntil-now) > f.cfg.ShedBacklogNs {
+	if !forwarded && len(f.instances) > 1 && float64(in.busyUntil-now) > 4*f.meanSvcNs {
 		dst := (in.id + 1) % len(f.instances)
 		in.stats.ForwardedOut++
-		f.se.Send(in.id, dst, now+sim.Time(f.cfg.HopNs), func(t sim.Time) {
+		f.se.Send(in.id, dst, now+hop, func(t sim.Time) {
 			d := f.instances[dst]
 			d.stats.ForwardedIn++
 			d.admit(t, issue, true)
@@ -145,33 +139,17 @@ func ServeFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.RequestsPerInstance == 0 {
 		cfg.RequestsPerInstance = 1000
 	}
-	if cfg.HopNs == 0 {
-		cfg.HopNs = topology.FabricHopNs
-	}
-	if cfg.HopNs <= 0 {
-		return nil, fmt.Errorf("llm: fabric hop latency must be positive (got %v)", cfg.HopNs)
-	}
 
 	// Every instance runs the same stack, so one steady-state solve fixes
 	// the shared per-token decode time.
 	sp := NewCluster().ServingRate(cfg.Policy, cfg.Backends)
 	tokenNs := 1e9 / sp.TokensPerSec
-	meanSvcNs := 71.5 * tokenNs
-	if cfg.MeanArrivalNs == 0 {
-		cfg.MeanArrivalNs = meanSvcNs
-	}
-	if cfg.MeanArrivalNs <= 0 {
-		return nil, fmt.Errorf("llm: mean arrival interval must be positive (got %v)", cfg.MeanArrivalNs)
-	}
-	if cfg.ShedBacklogNs == 0 {
-		cfg.ShedBacklogNs = 4 * meanSvcNs
-	}
 
 	f := &fleet{
-		cfg:       cfg,
-		se:        sim.NewSharded(cfg.Instances, cfg.Shards, sim.Time(cfg.HopNs)),
+		se:        sim.NewSharded(cfg.Instances, cfg.Shards, hop),
 		instances: make([]*fleetInstance, cfg.Instances),
 		tokenNs:   tokenNs,
+		meanSvcNs: 71.5 * tokenNs,
 	}
 	for i := range f.instances {
 		in := &fleetInstance{
@@ -192,7 +170,6 @@ func ServeFleet(cfg FleetConfig) (*FleetResult, error) {
 		EndNs:       float64(end),
 		Epochs:      f.se.Epochs(),
 		Shards:      f.se.Shards(),
-		TokenNs:     tokenNs,
 	}
 	for i, in := range f.instances {
 		res.PerInstance[i] = in.stats

@@ -58,7 +58,6 @@ func TestFleetValidation(t *testing.T) {
 		"zero instances":  {Instances: 0},
 		"negative shards": {Instances: 2, Shards: -1},
 		"bad backends":    {Instances: 2, Backends: -3},
-		"bad hop":         {Instances: 2, HopNs: -1},
 	} {
 		if _, err := ServeFleet(cfg); err == nil {
 			t.Fatalf("%s: ServeFleet accepted invalid config", name)

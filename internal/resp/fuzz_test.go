@@ -23,12 +23,12 @@ func FuzzRESPDecode(f *testing.F) {
 		"SET key value\r\n",
 		"\r\n",
 		"*0\r\n",
-		"*2\r\n$3\r\nGE",       // torn
-		"*-1\r\n",              // negative count
-		"*1\r\n:3\r\n",         // wrong marker
-		"*1\r\n$3\r\nfooXX",    // missing CRLF
-		"*9999999999999\r\n",   // count overflow
-		"$5\r\nhello\r\n",      // reply-typed frame as a request (inline)
+		"*2\r\n$3\r\nGE",     // torn
+		"*-1\r\n",            // negative count
+		"*1\r\n:3\r\n",       // wrong marker
+		"*1\r\n$3\r\nfooXX",  // missing CRLF
+		"*9999999999999\r\n", // count overflow
+		"$5\r\nhello\r\n",    // reply-typed frame as a request (inline)
 		strings.Repeat("a", 300) + "\r\nPING\r\n",
 	}
 	for _, s := range seeds {

@@ -112,52 +112,6 @@ func TestSameTimestampFIFOUnderPooling(t *testing.T) {
 	}
 }
 
-// TestAtBatchFIFO: batch items at equal times fire in slice order and
-// after earlier-scheduled events at the same time.
-func TestAtBatchFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(5, func(Time) { order = append(order, 0) })
-	items := make([]BatchItem, 4)
-	for i := range items {
-		i := i
-		items[i] = BatchItem{At: 5, Fn: func(Time) { order = append(order, i+1) }}
-	}
-	e.AtBatch(items)
-	e.Run()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("batch order = %v", order)
-		}
-	}
-}
-
-// batchHandler records handler invocations for TestAtBatchHandler.
-type batchHandler struct {
-	got []uint64
-}
-
-func (h *batchHandler) HandleEvent(_ Time, arg uint64) { h.got = append(h.got, arg) }
-
-// TestAtBatchHandler: handler-form batch items deliver their args in
-// order, interleaving with closure items by slice position.
-func TestAtBatchHandler(t *testing.T) {
-	e := NewEngine()
-	h := &batchHandler{}
-	e.AtBatch([]BatchItem{
-		{At: 3, Handler: h, Arg: 7},
-		{At: 3, Handler: h, Arg: 8},
-		{At: 2, Handler: h, Arg: 9},
-	})
-	e.Run()
-	want := []uint64{9, 7, 8}
-	for i := range want {
-		if h.got[i] != want[i] {
-			t.Fatalf("handler args = %v, want %v", h.got, want)
-		}
-	}
-}
-
 // reschedulingHandler re-arms itself until its countdown expires — the
 // fire→reschedule loop that the pool keeps allocation-free.
 type reschedulingHandler struct {

@@ -132,15 +132,6 @@ func (ev Event) Pending() bool {
 	return ev.s != nil && ev.s.gen == ev.gen
 }
 
-// BatchItem is one entry of a batch schedule. Exactly one of Fn or
-// Handler must be set; Arg is passed to Handler.
-type BatchItem struct {
-	At      Time
-	Fn      func(now Time)
-	Handler Handler
-	Arg     uint64
-}
-
 // Observer receives kernel lifecycle callbacks. Implementations must be
 // passive: they may record but must not schedule, cancel, or otherwise
 // mutate the engine, or determinism is forfeit. The obs package provides
@@ -277,23 +268,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg uint64) Event {
 // AfterHandler schedules h.HandleEvent(now, arg) d nanoseconds from now.
 func (e *Engine) AfterHandler(d Time, h Handler, arg uint64) Event {
 	return e.AtHandler(e.now+d, h, arg)
-}
-
-// AtBatch schedules every item in one call, preserving the FIFO
-// tie-break: items at equal times fire in slice order, and the whole
-// batch fires after any previously-scheduled events at the same times.
-// The items slice is not retained, so callers may reuse a scratch slice
-// across batches.
-func (e *Engine) AtBatch(items []BatchItem) {
-	for i := range items {
-		it := &items[i]
-		e.checkTime(it.At)
-		s := e.acquire()
-		s.fn = it.Fn
-		s.handler = it.Handler
-		s.arg = it.Arg
-		e.schedule(s, it.At)
-	}
 }
 
 // Cancel removes a pending event from the queue. Canceling the zero

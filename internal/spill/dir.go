@@ -67,9 +67,8 @@ type Stats struct {
 	Segments       int
 }
 
-// WriteAmplification is physical bytes written per logical user byte —
-// the number to hold against lsm.Stats.WriteAmp when comparing the
-// log-structured hash tier with the structural LSM engine.
+// WriteAmplification is physical bytes written per logical user
+// (key+value payload) byte.
 func (s Stats) WriteAmplification() float64 {
 	if s.UserBytes == 0 {
 		return 0

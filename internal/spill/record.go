@@ -4,9 +4,9 @@
 // fast recovery, and a recovery fsck that truncates torn tails and
 // quarantines corrupt records.
 //
-// Until this package, the SSD tier was purely analytic (internal/lsm
-// cost model + latency accounting in internal/kvstore): nothing was
-// ever written, so crashes, torn writes, and bit rot were unmodeled
+// The SSD tier's performance is purely analytic (the RocksDB cost
+// constants and latency accounting in internal/kvstore): without this
+// package nothing is ever written, so crashes, torn writes, and bit rot were unmodeled
 // failure modes. Here every acknowledged write is framed, checksummed,
 // and (by default) fsynced, and recovery rebuilds the keydir
 // deterministically from the log — the bridge between the virtual-time

@@ -34,17 +34,19 @@ func TestPickDstSkipsDegraded(t *testing.T) {
 	}
 }
 
-// Regression: a degraded preferred CXL target must divert demotions to
-// the alternate slow node, never receive pages itself.
-func TestTPPDemotionFallsBackToAlternateTier(t *testing.T) {
+// Regression: when promotion has to demote to make room, a degraded
+// preferred CXL target must divert the demotions to the alternate slow
+// node and never receive pages itself.
+func TestHotPromoteDemotionFallsBackToAlternateTier(t *testing.T) {
 	m := topology.Testbed()
 	alloc := vmm.NewAllocator(m)
 	dram := m.DRAMNodes(0)[0]
 	cxl0, cxl1 := m.CXLNodes()[0], m.CXLNodes()[1]
 
 	const pages = 8
-	// Fill DRAM completely so TPP's free watermark is violated and it
-	// must demote; the space's own pages are the only demotable ones.
+	// Fill DRAM completely: the space's cold DRAM pages are the only
+	// demotion victims, and its hot cxl1 pages can only be promoted by
+	// demoting them.
 	fill := vmm.NewSpace(0)
 	reserve := dram.Capacity - uint64(pages)*vmm.DefaultPageSize
 	if err := alloc.Alloc(fill, reserve, vmm.Bind{Nodes: []*topology.Node{dram}}); err != nil {
@@ -54,16 +56,25 @@ func TestTPPDemotionFallsBackToAlternateTier(t *testing.T) {
 	if err := alloc.Alloc(space, pages*vmm.DefaultPageSize, vmm.Bind{Nodes: []*topology.Node{dram}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := alloc.Alloc(space, pages*vmm.DefaultPageSize, vmm.Bind{Nodes: []*topology.Node{cxl1}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := pages; i < 2*pages; i++ {
+		space.Touch(i, 100, 1)
+	}
 
-	d := &TPP{Tiers: Tiers{
-		Fast: []*topology.Node{dram},
-		Slow: []*topology.Node{cxl0, cxl1}, // cxl0 preferred, but degraded
-	}}
+	d := &HotPromote{
+		Tiers: Tiers{
+			Fast: []*topology.Node{dram},
+			Slow: []*topology.Node{cxl0, cxl1}, // cxl0 preferred, but degraded
+		},
+		RateLimitBytes: 2 * pages * vmm.DefaultPageSize,
+	}
 	d.SetHealth(fakeHealth{cxl0: true})
 
-	rep := d.Tick(0, space, alloc)
+	rep := d.Tick(1, space, alloc)
 	if rep.DemotedPages == 0 {
-		t.Fatal("watermark violation produced no demotions")
+		t.Fatal("promotion into a full fast tier produced no demotions")
 	}
 	for i := range space.Pages {
 		if space.Pages[i].Node == cxl0 {
@@ -71,13 +82,13 @@ func TestTPPDemotionFallsBackToAlternateTier(t *testing.T) {
 		}
 	}
 	onAlternate := 0
-	for i := range space.Pages {
+	for i := 0; i < pages; i++ {
 		if space.Pages[i].Node == cxl1 {
 			onAlternate++
 		}
 	}
 	if onAlternate != rep.DemotedPages {
-		t.Fatalf("%d pages on the alternate tier, want all %d demotions there",
+		t.Fatalf("%d demoted pages on the alternate tier, want all %d demotions there",
 			onAlternate, rep.DemotedPages)
 	}
 }

@@ -67,18 +67,6 @@ func (h *harness) fastHeatShare() float64 {
 	return share
 }
 
-func TestStaticDoesNothing(t *testing.T) {
-	h := newHarness(t)
-	gen := workload.NewZipfian(harnessPages, 1)
-	rep := h.epoch(gen, 10000, Static{})
-	if rep.TotalBytes() != 0 {
-		t.Fatal("static policy migrated pages")
-	}
-	if (Static{}).Name() != "static" {
-		t.Fatal("name")
-	}
-}
-
 func TestHotPromoteConvergesOnZipfian(t *testing.T) {
 	// §4.1.2: with Zipfian access, Hot-Promote migrates the hot keys to
 	// MMEM and performs nearly as well as pure MMEM. The testable core:
@@ -172,79 +160,6 @@ func TestHotPromoteDemotesToMakeRoom(t *testing.T) {
 	}
 	if rep.DemotedPages == 0 {
 		t.Fatal("promotions into a full fast tier require demotions")
-	}
-}
-
-func TestNUMABalancingPromotesMRU(t *testing.T) {
-	h := newHarness(t)
-	d := &NUMABalancing{Tiers: h.tiers, ScanFraction: 1, RecencyWindow: 10 * sim.Millisecond}
-	gen := workload.NewZipfian(harnessPages, 46)
-	for e := 0; e < 30; e++ {
-		h.epoch(gen, 20000, d)
-	}
-	if share := h.fastHeatShare(); share < 0.7 {
-		t.Fatalf("NUMA balancing fast heat share = %.2f, want ≥0.7", share)
-	}
-	if d.Name() != "numa-balancing" {
-		t.Fatal("name")
-	}
-}
-
-func TestNUMABalancingPartialScanIsSlower(t *testing.T) {
-	// The paper: "it may not accurately identify high-demand pages due
-	// to extended scanning intervals". A 5% scan rate must converge
-	// slower than a full scan.
-	run := func(frac float64) float64 {
-		h := newHarness(t)
-		d := &NUMABalancing{Tiers: h.tiers, ScanFraction: frac, RecencyWindow: 10 * sim.Millisecond}
-		gen := workload.NewZipfian(harnessPages, 47)
-		for e := 0; e < 6; e++ {
-			h.epoch(gen, 20000, d)
-		}
-		return h.fastHeatShare()
-	}
-	full, partial := run(1.0), run(0.05)
-	if partial >= full {
-		t.Fatalf("partial scan (%.2f) should trail full scan (%.2f) early", partial, full)
-	}
-}
-
-func TestNUMABalancingEmptySpace(t *testing.T) {
-	d := &NUMABalancing{}
-	rep := d.Tick(0, vmm.NewSpace(0), vmm.NewAllocator(topology.Testbed()))
-	if rep.TotalBytes() != 0 {
-		t.Fatal("empty space should be a no-op")
-	}
-}
-
-func TestTPPPromotesOnReaccess(t *testing.T) {
-	h := newHarness(t)
-	d := &TPP{Tiers: h.tiers}
-	gen := workload.NewZipfian(harnessPages, 48)
-	for e := 0; e < 30; e++ {
-		h.epoch(gen, 20000, d)
-	}
-	if share := h.fastHeatShare(); share < 0.7 {
-		t.Fatalf("TPP fast heat share = %.2f, want ≥0.7", share)
-	}
-	if d.Name() != "tpp" {
-		t.Fatal("name")
-	}
-}
-
-func TestTPPWatermarkDemotion(t *testing.T) {
-	h := newHarness(t)
-	dram := h.tiers.Fast[0]
-	if h.alloc.Free(dram) != 0 {
-		t.Fatal("precondition: fast tier full")
-	}
-	d := &TPP{Tiers: h.tiers, FreeWatermark: 0.001}
-	rep := d.Tick(1, h.space, h.alloc)
-	if rep.DemotedPages == 0 {
-		t.Fatal("watermark violation should trigger demotion")
-	}
-	if h.alloc.Free(dram) == 0 {
-		t.Fatal("demotion should have freed fast-tier room")
 	}
 }
 

@@ -192,3 +192,37 @@ func TestUPIUtilizationBelow30OnRemoteCXL(t *testing.T) {
 		t.Fatalf("UPI utilization %v at remote-CXL saturation; paper observes the UPI is not the bottleneck", u)
 	}
 }
+
+func TestDegradeValidation(t *testing.T) {
+	m := TestbedSNC()
+	r := m.CXLNodes()[0].Resource()
+	for name, f := range map[string]func(){
+		"bw zero": func() { r.Degrade(0, 1) },
+		"bw >1":   func() { r.Degrade(1.5, 1) },
+		"lat <1":  func() { r.Degrade(0.5, 0.9) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestDegradeAffectsAnchors(t *testing.T) {
+	m := TestbedSNC()
+	node := m.CXLNodes()[0]
+	p := m.PathFrom(0, node)
+	before := p.PeakBandwidth(memsim.Mix2to1)
+	idleBefore := p.IdleLatency(memsim.ReadOnly)
+	node.Resource().Degrade(0.5, 2)
+	if after := p.PeakBandwidth(memsim.Mix2to1); after > before*0.51 {
+		t.Fatalf("peak after degrade = %v, want ≈half of %v", after, before)
+	}
+	if idle := p.IdleLatency(memsim.ReadOnly); idle < idleBefore*1.9 {
+		t.Fatalf("idle after degrade = %v, want ≈2× %v", idle, idleBefore)
+	}
+}

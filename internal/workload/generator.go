@@ -55,7 +55,7 @@ type Zipfian struct {
 	zeta2theta  float64
 	eta         float64
 	halfTheta   float64 // math.Pow(0.5, theta), hoisted out of Next's hot path
-	countForZ   uint64 // n for which zetan was computed
+	countForZ   uint64  // n for which zetan was computed
 	rng         *rand.Rand
 	allowExtend bool
 }
