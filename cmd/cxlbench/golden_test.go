@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -11,10 +12,13 @@ import (
 	"testing"
 )
 
-// -update rewrites testdata/quick-all.golden from the live binary.
-var update = flag.Bool("update", false, "rewrite the committed golden output")
+// -update rewrites testdata/*.golden from the live binary.
+var update = flag.Bool("update", false, "rewrite the committed golden outputs")
 
-const golden = "testdata/quick-all.golden"
+const (
+	golden         = "testdata/quick-all.golden"
+	windowedGolden = "testdata/fig8-slo.golden"
+)
 
 // pinnedPlatform skips where the goldens cannot be byte-exact: they are
 // recorded on linux/amd64, and Go may fuse multiply-add into FMA
@@ -49,7 +53,8 @@ func runStdout(t *testing.T, bin string, args ...string) []byte {
 }
 
 // TestGolden pins `cxlbench -quick all` stdout, byte for byte, at
-// -parallel 1 and at the default parallelism. Regenerate after an
+// -parallel 1 and at the default parallelism, and the windowed fig8
+// stdout plus the SHA-256 of its -slo/-report HTML. Regenerate after an
 // intentional output change with
 //
 //	go test ./cmd/cxlbench -run TestGolden -update
@@ -58,16 +63,27 @@ func TestGolden(t *testing.T) {
 	bin := buildBinary(t)
 
 	if *update {
-		out := runStdout(t, bin, "-quick", "all")
-		if err := os.WriteFile(golden, out, 0o644); err != nil {
-			t.Fatal(err)
+		for path, out := range map[string][]byte{
+			golden:         runStdout(t, bin, "-quick", "all"),
+			windowedGolden: windowedFig8(t, bin),
+		} {
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d bytes)", path, len(out))
 		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(out))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantWindowed, err := os.ReadFile(windowedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := windowedFig8(t, bin); !bytes.Equal(got, wantWindowed) {
+		t.Errorf("windowed fig8 differs from %s:\n%s", windowedGolden, firstDiff(got, wantWindowed))
 	}
 	for _, args := range [][]string{
 		{"-quick", "-parallel", "1", "all"},
@@ -84,6 +100,19 @@ func TestGolden(t *testing.T) {
 	if got := runStdout(t, bin, "-quick", "-shards", "4", "shard"); !bytes.Equal(got, section) {
 		t.Errorf("cxlbench -quick -shards 4 shard differs from the golden's shard section:\n%s", firstDiff(got, section))
 	}
+}
+
+// windowedFig8 runs fig8 with the kvstore SLO spec and an HTML report
+// and returns its stdout followed by the report's SHA-256.
+func windowedFig8(t *testing.T, bin string) []byte {
+	t.Helper()
+	html := filepath.Join(t.TempDir(), "report.html")
+	out := runStdout(t, bin, "-quick", "-slo", "../../examples/slo/kvstore.json", "-report", html, "fig8")
+	b, err := os.ReadFile(html)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Appendf(out, "sha256 report.html %x\n", sha256.Sum256(b))
 }
 
 // goldenSection cuts experiment id's block out of the full output: from

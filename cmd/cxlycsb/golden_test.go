@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,21 +19,26 @@ var update = flag.Bool("update", false, "rewrite the committed golden outputs")
 
 // goldenRun is one pinned invocation: Hot-Promote YCSB-A at 8000 ops
 // plus extra flags. stdout is compared byte for byte; the -trace and
-// -metrics files (when traced) by SHA-256, since the trace is ~1 MB.
+// -metrics files (when traced) by SHA-256, since the trace is ~1 MB, and
+// likewise the -dump files and -report HTML (when windowed).
 type goldenRun struct {
-	name   string
-	extra  []string
-	traced bool
+	name     string
+	extra    []string
+	traced   bool
+	windowed bool
 }
 
 var goldenRuns = []goldenRun{
 	{name: "single", traced: true},
 	{name: "single-degraded", extra: []string{"-faults", "examples/degrade-cxl.json"}},
 	{name: "cluster", extra: []string{"-nodes", "2", "-shards", "1", "-faults", "examples/degrade-cxl.json"}, traced: true},
+	{name: "slo", windowed: true},
+	{name: "slo-degraded", extra: []string{"-faults", "examples/degrade-cxl.json"}, windowed: true},
 }
 
 // TestGolden pins cxlycsb's stdout, trace and metrics for single-node
-// and two-node cluster runs, healthy and degraded. The cluster run is
+// and two-node cluster runs, healthy and degraded, and the windowed
+// -slo/-dump/-report outputs of single-node runs. The cluster run is
 // repeated on two shards and must match the same goldens: shards change
 // wall-clock time only. Regenerate after an intentional output change
 // with
@@ -53,6 +59,9 @@ func TestGolden(t *testing.T) {
 	runs := goldenRuns
 	if !*update {
 		sharded := goldenRuns[2]
+		if sharded.name != "cluster" {
+			t.Fatalf("goldenRuns[2] is %q, want the cluster run", sharded.name)
+		}
 		sharded.name = "cluster-shards2"
 		sharded.extra = []string{"-nodes", "2", "-shards", "2", "-faults", "examples/degrade-cxl.json"}
 		runs = append(runs[:len(runs):len(runs)], sharded)
@@ -80,13 +89,24 @@ func TestGolden(t *testing.T) {
 }
 
 // run executes the invocation from the repository root (so the schedule
-// path printed in [FAULT] lines is stable) and returns stdout followed,
-// when traced, by the digest lines of the trace and metrics files.
+// path printed in [FAULT] lines is stable) and returns stdout followed
+// by the digest lines of the files it wrote.
 func (gr goldenRun) run(t *testing.T, bin string) []byte {
 	dir := t.TempDir()
 	args := append([]string{"-config", "Hot-Promote", "-workload", "A", "-ops", "8000"}, gr.extra...)
+	var files []string
 	if gr.traced {
 		args = append(args, "-trace", filepath.Join(dir, "trace.json"), "-metrics", filepath.Join(dir, "metrics.prom"))
+		files = append(files, "trace.json", "metrics.prom")
+	}
+	if gr.windowed {
+		args = append(args, "-slo", "examples/slo/kvstore.json",
+			"-dump", filepath.Join(dir, "run"), "-report", filepath.Join(dir, "report.html"))
+		files = append(files, "run-healthy.json")
+		if slices.Contains(gr.extra, "-faults") {
+			files = append(files, "run-degraded.json")
+		}
+		files = append(files, "report.html")
 	}
 	cmd := exec.Command(bin, args...)
 	cmd.Dir = filepath.Join("..", "..")
@@ -96,14 +116,12 @@ func (gr goldenRun) run(t *testing.T, bin string) []byte {
 	if err != nil {
 		t.Fatalf("cxlycsb %v: %v\n%s", args, err, stderr.String())
 	}
-	if gr.traced {
-		for _, f := range []string{"trace.json", "metrics.prom"} {
-			b, err := os.ReadFile(filepath.Join(dir, f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = fmt.Appendf(out, "sha256 %s %x\n", f, sha256.Sum256(b))
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Fatal(err)
 		}
+		out = fmt.Appendf(out, "sha256 %s %x\n", f, sha256.Sum256(b))
 	}
 	return out
 }
