@@ -24,9 +24,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -34,7 +34,6 @@ import (
 
 	"cxlsim/internal/cliutil"
 	"cxlsim/internal/core"
-	"cxlsim/internal/fault"
 	"cxlsim/internal/prof"
 	"cxlsim/internal/report"
 	"cxlsim/internal/slo"
@@ -46,7 +45,31 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
+// config carries the validated flag values into run().
+type config struct {
+	ids        []string
+	opt        core.Options
+	format     string
+	reportPath string
+	cpuprofile string
+	memprofile string
+}
+
 func main() {
+	cfg := parseFlags()
+	// Everything after the profiler starts lives in run(): its deferred
+	// stop executes on every return path, so an error exit still writes
+	// complete -cpuprofile/-memprofile files.
+	if err := run(cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// parseFlags parses and validates the command line and loads the -faults
+// and -slo inputs. It exits before any profile starts, so exiting here
+// skips no cleanup.
+func parseFlags() config {
 	quick := flag.Bool("quick", false, "shrink op counts and sweeps for a fast smoke run")
 	seed := flag.Int64("seed", 0, "workload seed (0 = default 42)")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -68,12 +91,15 @@ func main() {
 
 	if *list {
 		fmt.Println(strings.Join(core.Experiments(), "\n"))
-		return
+		os.Exit(0)
 	}
-	args := flag.Args()
-	if len(args) == 0 {
+	ids := flag.Args()
+	if len(ids) == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = core.Experiments()
 	}
 	if *parallel < 1 {
 		usageError("-parallel must be >= 1")
@@ -87,109 +113,66 @@ func main() {
 	if *cpuprofile != "" && *cpuprofile == *memprofile {
 		usageError("-cpuprofile and -memprofile cannot share a file")
 	}
-	var schedule *fault.Schedule
-	faultsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "faults" {
-			faultsSet = true
-		}
-	})
-	if faultsSet && *faults == "" {
-		usageError("-faults needs a schedule file")
-	}
-	if *faults != "" {
-		s, err := fault.LoadSchedule(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-			os.Exit(1)
-		}
-		schedule = s
-	}
 	if *windowsMs < 0 {
 		usageError("-windows cannot be negative")
 	}
-	var sloSpec *slo.Spec
-	if *sloPath != "" {
-		s, err := slo.Load(*sloPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-			os.Exit(1)
-		}
-		sloSpec = s
+	if err := cliutil.CheckInputs(flag.CommandLine); err != nil {
+		usageError("%v", err)
 	}
-	windowNs := *windowsMs * 1e6
-	if windowNs == 0 && (sloSpec != nil || *reportPath != "") {
-		if sloSpec != nil && sloSpec.WindowMs > 0 {
-			windowNs = sloSpec.WindowMs * 1e6
-		} else {
-			windowNs = 10 * 1e6
-		}
-	}
-	opt := core.Options{Quick: *quick, Seed: *seed, Parallel: *parallel, Faults: schedule,
-		WindowNs: windowNs, SLO: sloSpec, Shards: *shards}
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	schedule, sloSpec, err := cliutil.LoadInputs(*faults, *sloPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
 		os.Exit(1)
 	}
-	defer stopProf()
-
-	ids := args
-	if len(args) == 1 && args[0] == "all" {
-		ids = core.Experiments()
+	var windowNs float64
+	if *windowsMs > 0 || sloSpec != nil || *reportPath != "" {
+		windowNs = slo.WindowNs(*windowsMs, sloSpec, 10e6) // one kvstore epoch
 	}
-	var windowedRuns []*report.Run
-	for _, id := range ids {
-		start := time.Now()
-		rep, err := core.Run(id, opt)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-			os.Exit(1)
-		}
-		windowedRuns = append(windowedRuns, rep.Runs...)
-		switch *format {
-		case "table":
-			rep.WriteTable(os.Stdout)
-		case "csv":
-			if err := rep.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "cxlbench: unknown format %q\n", *format)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cxlbench: %s in %s (parallel=%d)\n", id, elapsed.Round(time.Millisecond), *parallel)
-	}
-	if *reportPath != "" {
-		if len(windowedRuns) == 0 {
-			fmt.Fprintf(os.Stderr, "cxlbench: -report: no windowed runs collected (only fig8 supports windows)\n")
-			os.Exit(1)
-		}
-		if err := writeReport(*reportPath, windowedRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cxlbench: wrote %s (%d run(s))\n", *reportPath, len(windowedRuns))
+	return config{
+		ids: ids,
+		opt: core.Options{Quick: *quick, Seed: *seed, Parallel: *parallel, Faults: schedule,
+			WindowNs: windowNs, SLO: sloSpec, Shards: *shards},
+		format:     *format,
+		reportPath: *reportPath,
+		cpuprofile: *cpuprofile,
+		memprofile: *memprofile,
 	}
 }
 
-// writeReport renders the windowed runs as a self-contained HTML report.
-func writeReport(path string, runs []*report.Run) error {
-	f, err := os.Create(path)
+func run(cfg config) error {
+	stopProf, err := prof.Start(cfg.cpuprofile, cfg.memprofile)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if err := report.WriteHTML(w, runs); err != nil {
-		f.Close()
+	defer stopProf()
+
+	var windowedRuns []*report.Run
+	for _, id := range cfg.ids {
+		start := time.Now()
+		rep, err := core.Run(id, cfg.opt)
+		elapsed := time.Since(start)
+		if err != nil {
+			return err
+		}
+		windowedRuns = append(windowedRuns, rep.Runs...)
+		if cfg.format == "csv" {
+			if err := rep.WriteCSV(os.Stdout); err != nil {
+				return err
+			}
+		} else {
+			rep.WriteTable(os.Stdout)
+		}
+		fmt.Fprintf(os.Stderr, "cxlbench: %s in %s (parallel=%d)\n", id, elapsed.Round(time.Millisecond), cfg.opt.Parallel)
+	}
+	if cfg.reportPath == "" {
+		return nil
+	}
+	if len(windowedRuns) == 0 {
+		return fmt.Errorf("-report: no windowed runs collected (only fig8 supports windows)")
+	}
+	if err := cliutil.WriteFile(cfg.reportPath, func(w io.Writer) error { return report.WriteHTML(w, windowedRuns) }); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	fmt.Fprintf(os.Stderr, "cxlbench: wrote %s (%d run(s))\n", cfg.reportPath, len(windowedRuns))
+	return nil
 }

@@ -10,11 +10,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"cxlsim/internal/cliutil"
 	"cxlsim/internal/report"
 )
 
@@ -49,32 +50,8 @@ func main() {
 	}
 }
 
-// render writes the HTML report to out ("-" for stdout). Flush and
-// Close errors are surfaced, not swallowed: on a full disk the failure
-// often only shows up there, and a partial report must fail the
-// command.
+// render writes the HTML report to out ("-" for stdout); a partial
+// report fails the command (see cliutil.WriteFile).
 func render(out string, runs []*report.Run) error {
-	var f *os.File
-	if out == "-" {
-		f = os.Stdout
-	} else {
-		var err error
-		if f, err = os.Create(out); err != nil {
-			return err
-		}
-	}
-	w := bufio.NewWriter(f)
-	err := report.WriteHTML(w, runs)
-	if err == nil {
-		err = w.Flush()
-	}
-	if out != "-" {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", out, err)
-	}
-	return nil
+	return cliutil.WriteFile(out, func(w io.Writer) error { return report.WriteHTML(w, runs) })
 }

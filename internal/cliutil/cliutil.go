@@ -3,12 +3,19 @@
 // defaults and help text and rejects the same invalid values. The
 // sharded-execution flags live here: -shards picks how many OS threads
 // execute a sharded simulation (output is byte-identical at any value)
-// and -nodes sizes a simulated cluster.
+// and -nodes sizes a simulated cluster. So do the -faults/-slo input
+// loader and the artifact writer every output-file flag goes through.
 package cliutil
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"os"
+
+	"cxlsim/internal/fault"
+	"cxlsim/internal/slo"
 )
 
 const (
@@ -95,4 +102,64 @@ func RESPTuningSet(fs *flag.FlagSet) bool {
 		}
 	})
 	return set
+}
+
+// CheckInputs rejects a -faults or -slo flag set on fs to an empty path:
+// an explicit empty file name is a mistake, not a request to skip the
+// input. Call after fs.Parse.
+func CheckInputs(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if (f.Name == "faults" || f.Name == "slo") && f.Value.String() == "" && err == nil {
+			err = fmt.Errorf("-%s needs a file", f.Name)
+		}
+	})
+	return err
+}
+
+// LoadInputs loads and validates the -faults schedule and the -slo spec;
+// an empty path yields nil.
+func LoadInputs(faultsPath, sloPath string) (*fault.Schedule, *slo.Spec, error) {
+	var schedule *fault.Schedule
+	var spec *slo.Spec
+	var err error
+	if faultsPath != "" {
+		if schedule, err = fault.LoadSchedule(faultsPath); err != nil {
+			return nil, nil, err
+		}
+	}
+	if sloPath != "" {
+		if spec, err = slo.Load(sloPath); err != nil {
+			return nil, nil, err
+		}
+	}
+	return schedule, spec, nil
+}
+
+// WriteFile writes one output artifact to path ("-" for stdout) through
+// a buffer. Every failure — fn's error, the flush, and the close, where
+// deferred write errors (ENOSPC, quota) appear on many filesystems — is
+// returned, so no artifact is silently truncated.
+func WriteFile(path string, fn func(io.Writer) error) error {
+	f := os.Stdout
+	if path != "-" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
+	}
+	w := bufio.NewWriter(f)
+	err := fn(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if path != "-" {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
 }

@@ -12,11 +12,8 @@ import (
 	"cxlsim/internal/llm"
 	"cxlsim/internal/memsim"
 	"cxlsim/internal/mlc"
-	"cxlsim/internal/obs"
 	"cxlsim/internal/par"
 	"cxlsim/internal/report"
-	"cxlsim/internal/sim"
-	"cxlsim/internal/slo"
 	"cxlsim/internal/topology"
 	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
@@ -276,7 +273,6 @@ func Fig8(opt Options) (*Report, error) {
 	if opt.Quick {
 		ops = 8_000
 	}
-	windowed := opt.WindowNs > 0
 	run := func(label string, pick func(*topology.Machine) []*topology.Node, faults *fault.Schedule) (*kvstore.Result, *report.Run, error) {
 		m := topology.Testbed()
 		alloc := vmm.NewAllocator(m)
@@ -290,50 +286,23 @@ func Fig8(opt Options) (*Report, error) {
 			return nil, nil, err
 		}
 		rc := kvstore.RunConfig{Mix: workload.YCSBC, Ops: ops, Seed: opt.seed()}
+		schedule := ""
 		if faults != nil {
-			inj, err := fault.NewInjector(faults, m)
-			if err != nil {
+			if rc.Faults, err = fault.NewInjector(faults, m); err != nil {
 				return nil, nil, err
 			}
-			rc.Faults = inj
-			pol := faults.ClientPolicy()
-			rc.TimeoutNs, rc.BackoffNs, rc.MaxRetries = pol.TimeoutNs, pol.BackoffNs, pol.MaxRetries
+			schedule = "degraded"
 		}
-		// Windowed cells get a private registry/tracer/window stack so
-		// parallel cells never share metric state; the SLO evaluator (when
-		// configured) rides each cell's window seals.
-		var win *obs.Windows
-		var eval *slo.Evaluator
-		if windowed {
-			reg := obs.NewRegistry()
-			tr := obs.NewTracer()
-			win = obs.NewWindows(reg, sim.Time(opt.WindowNs))
-			if opt.SLO != nil {
-				eval = slo.NewEvaluator(*opt.SLO)
-				eval.Instrument(reg, tr)
-				eval.Bind(win)
-			}
-			rc.Metrics, rc.Tracer, rc.Windows = reg, tr, win
+		// Windowed cells get a private pass so parallel cells never share
+		// metric state.
+		var pass *report.Pass
+		if opt.WindowNs > 0 {
+			pass = report.NewPass(opt.WindowNs, opt.SLO)
+			rc.Metrics, rc.Tracer, rc.Windows = pass.Metrics, pass.Tracer, pass.Windows
 		}
 		res := kvstore.Run(st, alloc, rc)
 		res.Config = label
-		var rr *report.Run
-		if windowed {
-			rr = &report.Run{
-				Label:    label,
-				Config:   label,
-				Workload: rc.Mix.Name,
-				WindowNs: opt.WindowNs,
-				Windows:  win.Snapshot(),
-			}
-			if faults != nil {
-				rr.Schedule = "degraded"
-			}
-			if eval != nil {
-				rr.SLO = eval.Evaluation()
-			}
-		}
-		return &res, rr, nil
+		return &res, pass.Run(label, label, rc.Mix.Name, schedule), nil
 	}
 	// The two bindings are independent deployments; run them in parallel
 	// (healthy pair first, then the degraded pair when a schedule is set).
@@ -366,11 +335,9 @@ func Fig8(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if windowed {
-		for _, rr := range winRuns {
-			if rr != nil {
-				rep.Runs = append(rep.Runs, rr)
-			}
+	for _, rr := range winRuns {
+		if rr != nil {
+			rep.Runs = append(rep.Runs, rr)
 		}
 	}
 	mmem, cxl := runs[0], runs[1]

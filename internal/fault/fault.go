@@ -149,11 +149,12 @@ func (st *Stochastic) validate() error {
 // Resilience is the client-side retry policy replayed with a schedule:
 // the request paths (kvstore closed loop, llmserve router) treat an
 // attempt slower than Timeout as timed out and retry after an
-// exponential backoff, all in virtual time.
+// exponential backoff, all in virtual time. A zero TimeoutNs disables
+// timeouts and retries.
 type Resilience struct {
 	TimeoutNs  float64
-	BackoffNs  float64
-	MaxRetries int
+	BackoffNs  float64 // base retry backoff, doubled per retry
+	MaxRetries int     // retries after the first attempt
 }
 
 // Schedule is a full fault scenario: scripted faults, an optional
@@ -188,13 +189,27 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// ClientPolicy returns the schedule's resilience knobs (zeros when the
-// schedule carries none: timeouts and retries stay disabled).
+// defaultMaxRetries is the retry count of a client block that sets a
+// timeout but no max_retries.
+const defaultMaxRetries = 3
+
+// ClientPolicy returns the schedule's resilience policy with its
+// defaults filled in: with a timeout set, a zero backoff becomes the
+// timeout and zero retries become 3. It is the zero policy (timeouts and
+// retries disabled) when the schedule is nil or sets no timeout. Every
+// request path reads its policy here.
 func (s *Schedule) ClientPolicy() Resilience {
-	if s == nil || s.Client == nil {
+	if s == nil || s.Client == nil || s.Client.TimeoutNs <= 0 {
 		return Resilience{}
 	}
-	return *s.Client
+	pol := *s.Client
+	if pol.BackoffNs == 0 {
+		pol.BackoffNs = pol.TimeoutNs
+	}
+	if pol.MaxRetries == 0 {
+		pol.MaxRetries = defaultMaxRetries
+	}
+	return pol
 }
 
 // Materialize expands the schedule into a concrete fault list sorted by

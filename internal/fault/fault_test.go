@@ -39,6 +39,35 @@ func TestParseSchedule(t *testing.T) {
 	}
 }
 
+// TestClientPolicyDefaults: a client block that sets only timeout_ms
+// gets backoff = timeout and three retries, and no client block (or no
+// timeout) disables the policy.
+func TestClientPolicyDefaults(t *testing.T) {
+	const doc = `{
+	  "faults": [{"at_ms": 0, "kind": "link-degrade", "target": "/cxl0", "severity": 0.5}],
+	  "client": {"timeout_ms": 2.0}
+	}`
+	s, err := ParseSchedule(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Resilience{TimeoutNs: 2e6, BackoffNs: 2e6, MaxRetries: 3}
+	if pol := s.ClientPolicy(); pol != want {
+		t.Errorf("timeout-only policy = %+v, want %+v", pol, want)
+	}
+	s.Client = nil
+	if pol := s.ClientPolicy(); pol != (Resilience{}) {
+		t.Errorf("no client block: policy = %+v, want zero", pol)
+	}
+	s.Client = &Resilience{BackoffNs: 1e6, MaxRetries: 2}
+	if pol := s.ClientPolicy(); pol != (Resilience{}) {
+		t.Errorf("no timeout: policy = %+v, want zero", pol)
+	}
+	if pol := (*Schedule)(nil).ClientPolicy(); pol != (Resilience{}) {
+		t.Errorf("nil schedule: policy = %+v, want zero", pol)
+	}
+}
+
 func TestParseScheduleRejects(t *testing.T) {
 	cases := []struct {
 		name string

@@ -140,7 +140,7 @@ func TestDurableBrownoutFromSchedule(t *testing.T) {
 	sched := &fault.Schedule{Faults: []fault.Fault{
 		{Kind: fault.DeviceStall, Target: "/ssd", Severity: 0.8},
 	}}
-	inj, err := d.InstallFaults(sched)
+	inj, err := fault.NewInjector(sched, d.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,27 +78,35 @@ func TestRetryPathDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerousTimeoutIsInert: a timeout no attempt can exceed leaves the
-// run identical to one with the retry machinery disabled — the zero-cost
-// contract for the healthy path.
+// TestGenerousTimeoutIsInert: a client timeout no attempt can reach
+// leaves a faulted run identical to the same schedule without a client
+// block — the zero-cost contract for the retry machinery.
 func TestGenerousTimeoutIsInert(t *testing.T) {
-	run := func(timeoutNs float64) Result {
+	run := func(client *fault.Resilience) Result {
 		d, err := Deploy(ConfInter11, fastOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		d.Warm(workload.YCSBC, 120, 100_000, 7)
-		rc := d.RunConfigFor(workload.YCSBC, 42)
+		s := &fault.Schedule{
+			Faults: []fault.Fault{{At: 1e6, Duration: 5e6, Kind: fault.LinkDegrade, Target: "/cxl0", Severity: 0.5}},
+			Client: client,
+		}
+		rc, err := d.RunConfigWithFaults(workload.YCSBC, 42, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rc.Ops = 3_000
-		rc.TimeoutNs = timeoutNs
 		return Run(d.Store, d.Alloc, rc)
 	}
-	off, generous := run(0), run(1e18)
+	off, generous := run(nil), run(&fault.Resilience{TimeoutNs: 1e18})
 	if generous.Timeouts != 0 || generous.Retries != 0 || generous.Failed != 0 {
 		t.Fatalf("generous timeout still fired: %+v", generous)
 	}
-	if off.ThroughputOpsPerSec != generous.ThroughputOpsPerSec {
-		t.Fatalf("inert timeout changed throughput: %v vs %v",
-			off.ThroughputOpsPerSec, generous.ThroughputOpsPerSec)
+	if off.ThroughputOpsPerSec != generous.ThroughputOpsPerSec ||
+		off.Latency.Percentile(99) != generous.Latency.Percentile(99) {
+		t.Fatalf("inert timeout changed the run: %v ops/s p99 %v vs %v ops/s p99 %v",
+			off.ThroughputOpsPerSec, off.Latency.Percentile(99),
+			generous.ThroughputOpsPerSec, generous.Latency.Percentile(99))
 	}
 }

@@ -71,16 +71,14 @@ type RunConfig struct {
 	// injector as its health source. The injector must be built against
 	// the store's machine. Reset is called when the run ends so the
 	// machine returns to its healthy calibration.
+	//
+	// The schedule's client policy (fault.Schedule.ClientPolicy) sets the
+	// client timeout: an attempt whose service time exceeds it is
+	// abandoned by the client (the server thread still burns the full
+	// service time) and retried after an exponential backoff, up to the
+	// policy's retry count. Without a timeout the healthy path is
+	// unchanged.
 	Faults *fault.Injector
-
-	// TimeoutNs enables client-side timeout accounting: an attempt whose
-	// service time exceeds it is abandoned by the client (the server
-	// thread still burns the full service time) and retried after an
-	// exponential backoff, up to MaxRetries attempts. Zero disables
-	// timeouts entirely — the healthy path is unchanged.
-	TimeoutNs  float64
-	BackoffNs  float64 // base retry backoff (default TimeoutNs)
-	MaxRetries int     // retries after the first attempt (default 3; negative = none)
 }
 
 func (rc *RunConfig) fill() {
@@ -92,17 +90,6 @@ func (rc *RunConfig) fill() {
 	}
 	if rc.EpochNs == 0 {
 		rc.EpochNs = 10e6
-	}
-	if rc.TimeoutNs > 0 {
-		if rc.BackoffNs == 0 {
-			rc.BackoffNs = rc.TimeoutNs
-		}
-		if rc.MaxRetries == 0 {
-			rc.MaxRetries = 3
-		}
-		if rc.MaxRetries < 0 {
-			rc.MaxRetries = 0
-		}
 	}
 	if rc.ServerThreads < 1 || rc.Ops < 1 {
 		panic(fmt.Sprintf("kvstore: invalid run config %+v", *rc))
@@ -122,9 +109,9 @@ type Result struct {
 	Migrated    uint64 // total page-migration traffic, bytes
 
 	// Fault-run accounting (all zero on healthy runs).
-	Timeouts uint64 // attempts abandoned past RunConfig.TimeoutNs
+	Timeouts uint64 // attempts abandoned past the client timeout
 	Retries  uint64 // re-issues after a timeout
-	Failed   uint64 // ops abandoned for good after MaxRetries
+	Failed   uint64 // ops abandoned for good after the last retry
 
 	// Forwarded counts ops this node originated but another cluster node
 	// owned and served (always zero outside RunCluster).
@@ -224,7 +211,9 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 	if instrumented && daemon != nil {
 		daemon = obs.InstrumentDaemon(daemon, rc.Metrics, rc.Tracer)
 	}
+	var pol fault.Resilience
 	if rc.Faults != nil {
+		pol = rc.Faults.Schedule().ClientPolicy()
 		// Device parameters change inside the event loop: re-solve the
 		// store's cached latencies on every transition and let the tiering
 		// daemon route placement around degraded nodes. Reset on exit so
@@ -266,14 +255,14 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		totalOps:   rc.Ops + rc.Ops/4,
 		inflight:   make([]pendingOp, rc.ServerThreads),
 		slots:      make([]uint64, rc.ServerThreads),
-		timeoutNs:  rc.TimeoutNs,
-		backoffNs:  rc.BackoffNs,
-		maxRetries: rc.MaxRetries,
+		timeoutNs:  pol.TimeoutNs,
+		backoffNs:  pol.BackoffNs,
+		maxRetries: pol.MaxRetries,
 	}
 	for i := range rl.slots {
 		rl.slots[i] = uint64(i)
 	}
-	if rc.Metrics != nil && rc.TimeoutNs > 0 {
+	if rc.Metrics != nil && pol.TimeoutNs > 0 {
 		rl.toC = rc.Metrics.Counter(obs.MetricKVTimeouts, "attempts abandoned past the client timeout")
 		rl.rtC = rc.Metrics.Counter(obs.MetricKVRetries, "op re-issues after a timeout")
 		rl.flC = rc.Metrics.Counter(obs.MetricKVFailed, "ops abandoned after exhausting retries")
@@ -527,7 +516,7 @@ func (rl *runLoop) advanceHead() {
 // timeout: the server thread still burns the full service time (the work
 // is wasted, which is what makes degraded devices expensive), while the
 // client abandons at the deadline and either re-queues the op after an
-// exponential backoff or gives up for good after MaxRetries.
+// exponential backoff or gives up for good after its last retry.
 func (rl *runLoop) clientTimeout(p pendingOp, now sim.Time, slot uint64, svc float64) {
 	rl.inflight[slot] = pendingOp{abandoned: true}
 	rl.eng.AtHandler(now+sim.Time(svc), rl, slot)
@@ -762,32 +751,17 @@ func (d *Deployment) RunConfigFor(mix workload.YCSBMix, seed int64) RunConfig {
 	return RunConfig{Mix: mix, Seed: seed, Daemon: d.Daemon, Tiers: d.Tiers}
 }
 
-// InstallFaults builds a fault injector for the deployment's machine and
-// returns it; wire it into a run via RunConfig.Faults (RunConfigFor with
-// a schedule does both). The injector is single-run: build a fresh
-// deployment per faulted run.
-func (d *Deployment) InstallFaults(s *fault.Schedule) (*fault.Injector, error) {
-	return fault.NewInjector(s, d.Machine)
-}
-
-// RunConfigWithFaults is RunConfigFor plus fault wiring: the schedule is
-// installed on the run and its client resilience policy (if any) enables
-// timeout/retry accounting.
+// RunConfigWithFaults is RunConfigFor plus a fault injector for the
+// schedule (nil: none) on the deployment's machine. The injector is
+// single-run: build a fresh deployment per faulted run.
 func (d *Deployment) RunConfigWithFaults(mix workload.YCSBMix, seed int64, s *fault.Schedule) (RunConfig, error) {
 	rc := d.RunConfigFor(mix, seed)
 	if s == nil {
 		return rc, nil
 	}
-	inj, err := d.InstallFaults(s)
-	if err != nil {
-		return rc, err
-	}
+	inj, err := fault.NewInjector(s, d.Machine)
 	rc.Faults = inj
-	pol := s.ClientPolicy()
-	rc.TimeoutNs = pol.TimeoutNs
-	rc.BackoffNs = pol.BackoffNs
-	rc.MaxRetries = pol.MaxRetries
-	return rc, nil
+	return rc, err
 }
 
 // Warm drives the deployment to its steady state before measurement: it

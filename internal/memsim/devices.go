@@ -14,11 +14,9 @@ const (
 
 // Capacities of the testbed (§2.4).
 const (
-	SNCDomainCapacityBytes = 128 << 30  // 2 × 64 GB DDR5-4800 DIMMs
-	SocketDDRCapacityBytes = 512 << 30  // 4 SNC domains
-	CXLDeviceCapacityBytes = 256 << 30  // one A1000 with 2 channels populated
-	ServerDDRCapacityBytes = 1024 << 30 // two sockets
-	ServerCXLCapacityBytes = 512 << 30  // two A1000 cards, both on socket 0
+	SNCDomainCapacityBytes = 128 << 30 // 2 × 64 GB DDR5-4800 DIMMs
+	SocketDDRCapacityBytes = 512 << 30 // 4 SNC domains
+	CXLDeviceCapacityBytes = 256 << 30 // one A1000 with 2 channels populated
 )
 
 // NewDDRDomain models one SNC-4 sub-NUMA domain: two DDR5-4800 channels.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
@@ -18,22 +17,6 @@ func PromHandler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := WriteProm(w, reg.Snapshot()); err != nil {
 			// Client went away mid-write; nothing recoverable.
-			return
-		}
-	})
-}
-
-// JSONHandler serves the registry as a JSON snapshot.
-func JSONHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reg.Snapshot()); err != nil {
 			return
 		}
 	})

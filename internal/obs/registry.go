@@ -137,13 +137,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveN records n identical observations.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	h.mu.Lock()
-	h.hist.AddN(v, n)
-	h.mu.Unlock()
-}
-
 // Snapshot captures the histogram state under the lock.
 func (h *Histogram) Snapshot() stats.HistogramSnapshot {
 	h.mu.Lock()

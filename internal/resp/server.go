@@ -242,16 +242,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// ListenAndServe listens on addr and serves; the listener's actual
-// address (useful with ":0") is reported through onListen when non-nil.
-func (s *Server) ListenAndServe(addr string, onListen func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if onListen != nil {
-		onListen(ln.Addr())
-	}
-	return s.Serve(ln)
-}

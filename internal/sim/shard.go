@@ -90,17 +90,8 @@ func NewSharded(partitions, shards int, lookahead Time) *ShardedEngine {
 // cross-partition interaction needs Send.
 func (se *ShardedEngine) Partition(p int) *Engine { return se.engines[se.partShard[p]] }
 
-// ShardOf reports which shard executes partition p.
-func (se *ShardedEngine) ShardOf(p int) int { return se.partShard[p] }
-
 // Shards reports the number of parallel shards (after capping).
 func (se *ShardedEngine) Shards() int { return len(se.engines) }
-
-// Partitions reports the number of logical partitions.
-func (se *ShardedEngine) Partitions() int { return len(se.partShard) }
-
-// Lookahead reports the conservative lookahead bound.
-func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 
 // Now reports the last completed epoch boundary; every shard's clock has
 // reached it.

@@ -140,6 +140,19 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// WindowNs is the window-length rule every command shares: flagMs (a
+// -windows value, virtual ms) when positive, else the spec's window_ms
+// when spec is non-nil and sets one, else fallbackNs.
+func WindowNs(flagMs float64, spec *Spec, fallbackNs float64) float64 {
+	switch {
+	case flagMs > 0:
+		return flagMs * 1e6
+	case spec != nil && spec.WindowMs > 0:
+		return spec.WindowMs * 1e6
+	}
+	return fallbackNs
+}
+
 // Load reads and validates a spec from a JSON file.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)

@@ -86,6 +86,29 @@ func TestLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWindowNs pins the window-length precedence: flag, then the spec's
+// window_ms, then the caller's fallback.
+func TestWindowNs(t *testing.T) {
+	spec := validSpec()
+	noWindow := validSpec()
+	noWindow.WindowMs = 0
+	for _, tc := range []struct {
+		name   string
+		flagMs float64
+		spec   *Spec
+		want   float64
+	}{
+		{"flag wins", 4, &spec, 4e6},
+		{"spec window", 0, &spec, 10e6},
+		{"spec without window", 0, &noWindow, 1e9},
+		{"no spec", 0, nil, 1e9},
+	} {
+		if got := WindowNs(tc.flagMs, tc.spec, 1e9); got != tc.want {
+			t.Errorf("%s: WindowNs = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // window fabricates a sealed snapshot: latency observations split
 // good/bad around the 1000ns threshold, plus ok/bad counters.
 func window(idx int64, goodLat, badLat uint64, ok, bad float64) obs.WindowSnapshot {

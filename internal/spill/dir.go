@@ -399,10 +399,6 @@ func (d *Dir) readerFor(id uint32) (*os.File, error) {
 	return f, nil
 }
 
-// SetSyncEvery adjusts the automatic fsync cadence (0 disables; bulk
-// loaders batch with 0 and finish with one explicit Sync).
-func (d *Dir) SetSyncEvery(n int) { d.opts.SyncEvery = n }
-
 // Seq returns the newest assigned log sequence number.
 func (d *Dir) Seq() uint64 { return d.seq }
 
