@@ -14,8 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
+	"cxlsim/internal/cliutil"
 	"cxlsim/internal/kvstore"
 	"cxlsim/internal/obs"
 	"cxlsim/internal/topology"
@@ -80,14 +80,7 @@ func main() {
 	fmt.Printf("p99 latency:    %.1f µs\n", res.Latency.Percentile(99)/1e3)
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := otr.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cliutil.WriteFile(*traceOut, otr.WriteJSON); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s (%d events) — open at https://ui.perfetto.dev\n", *traceOut, otr.Len())
