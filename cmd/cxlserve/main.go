@@ -195,12 +195,14 @@ func run(cfg config) error {
 			spec.Name, len(spec.Objectives), len(spec.Alerts))
 	}
 
-	// Publish the solver's per-resource utilization/bandwidth gauges into
-	// the server's registry so /metrics exposes them alongside the serving
-	// counters; priming one ServingRate call makes the gauge family live
-	// before the first request arrives.
+	// Publish the solver's per-resource utilization/bandwidth gauges and
+	// its solve-cache counts into the server's registry so /metrics
+	// exposes them alongside the serving counters; priming one
+	// ServingRate call makes the gauge family live before the first
+	// request arrives.
 	obs.InstrumentMemsim(s.Registry())
 	defer obs.InstrumentMemsim(nil)
+	obs.InstrumentSolveCache(s.Registry())
 	rate := cluster.ServingRate(cfg.policy, cfg.backends)
 
 	// Durable spill tier: recover the directory up front (repairing torn

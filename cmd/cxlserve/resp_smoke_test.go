@@ -102,6 +102,9 @@ func TestRESPSmoke(t *testing.T) {
 		`resp_commands_total{cmd="set"} 1`,
 		"resp_command_service_ns",
 		"resp_connections_open",
+		"# TYPE memsim_solve_cache_hits_total counter",
+		"# TYPE memsim_solve_cache_misses_total counter",
+		"# TYPE memsim_solve_cache_entries gauge",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

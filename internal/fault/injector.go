@@ -46,7 +46,6 @@ type Injector struct {
 
 	injected *obs.CounterVec
 	cleared  *obs.CounterVec
-	activeG  *obs.Gauge
 	tracer   *obs.Tracer
 }
 
@@ -125,7 +124,8 @@ func (inj *Injector) Instrument(reg *obs.Registry) {
 	}
 	inj.injected = reg.CounterVec(obs.MetricFaultInjected, "Faults injected, by kind.", "kind")
 	inj.cleared = reg.CounterVec(obs.MetricFaultCleared, "Faults cleared, by kind.", "kind")
-	inj.activeG = reg.Gauge(obs.MetricFaultActive, "Currently active faults.")
+	reg.GaugeFunc(obs.MetricFaultActive, "Currently active faults.",
+		func() float64 { return float64(inj.activeCount.Load()) })
 }
 
 // SetTracer records every fault transition as an instant on the "fault"
@@ -193,7 +193,6 @@ func (inj *Injector) applyFault(i int, now sim.Time) {
 	}
 	inj.tracer.Instant("fault", string(inj.faults[i].Kind)+" "+inj.faults[i].Target+" injected", now,
 		map[string]any{"severity": inj.faults[i].Severity})
-	inj.setActiveGauge()
 	inj.fireChange(now)
 }
 
@@ -211,7 +210,6 @@ func (inj *Injector) clearFault(i int, now sim.Time) {
 		inj.cleared.With(string(inj.faults[i].Kind)).Inc()
 	}
 	inj.tracer.Instant("fault", string(inj.faults[i].Kind)+" "+inj.faults[i].Target+" cleared", now, nil)
-	inj.setActiveGauge()
 	inj.fireChange(now)
 }
 
@@ -239,12 +237,6 @@ func (inj *Injector) recompute(r *memsim.Resource) {
 	}
 	if bw < 1 || lat > 1 {
 		r.Degrade(bw, lat)
-	}
-}
-
-func (inj *Injector) setActiveGauge() {
-	if inj.activeG != nil {
-		inj.activeG.Set(float64(inj.activeCount.Load()))
 	}
 }
 

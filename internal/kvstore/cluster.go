@@ -125,9 +125,6 @@ func (cl *clusterRun) forward(rl *runLoop, p pendingOp, now sim.Time) {
 	p.fromRemote = true
 	p.origin = rl.nodeID
 	rl.res.Forwarded++
-	if rl.fwdC != nil {
-		rl.fwdC.Inc()
-	}
 	dst := p.dest
 	pp := p
 	cl.se.Send(rl.nodeID, dst, now+hop, func(t sim.Time) {

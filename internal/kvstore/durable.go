@@ -39,8 +39,6 @@ type spillState struct {
 
 	keyBuf [8]byte
 	valBuf []byte
-
-	shedC, catchupC, mismatchC *obs.Counter
 }
 
 // openSpill attaches the durable tier to the store, recovering whatever
@@ -97,9 +95,6 @@ func (s *Store) spillWrite(key uint64) {
 func (sp *spillState) shedWrite(key uint64) {
 	sp.shed++
 	sp.dirty[key] = struct{}{}
-	if sp.shedC != nil {
-		sp.shedC.Inc()
-	}
 }
 
 // spillVerify cross-checks a simulated read miss against the durable
@@ -117,9 +112,6 @@ func (s *Store) spillVerify(key uint64) {
 	}
 	if len(v) < 8 || binary.BigEndian.Uint64(v) != key {
 		sp.mismatch++
-		if sp.mismatchC != nil {
-			sp.mismatchC.Inc()
-		}
 	}
 }
 
@@ -150,9 +142,6 @@ func (s *Store) SetSpillHealthy(h bool) {
 		}
 		delete(sp.dirty, k)
 		sp.catchup++
-		if sp.catchupC != nil {
-			sp.catchupC.Inc()
-		}
 	}
 	sp.dir.Sync()
 }
@@ -193,19 +182,21 @@ func (s *Store) SpillDirty() int {
 
 // InstrumentSpill publishes the durable tier's I/O, recovery, and
 // degraded-mode counters into the registry. No-op without a spill tier
-// or registry.
+// or registry. The degraded-mode counts are plain fields: the store is
+// single-threaded, and only the run that drives it reads the registry
+// before the run returns.
 func (s *Store) InstrumentSpill(reg *obs.Registry) {
 	sp := s.spill
 	if sp == nil || reg == nil {
 		return
 	}
 	sp.dir.Instrument(reg)
-	sp.shedC = reg.Counter(obs.MetricSpillShedWrites, "writes shed during spill-tier brownouts")
-	sp.catchupC = reg.Counter(obs.MetricSpillCatchupWrites, "shed writes re-persisted after the tier healed")
-	sp.mismatchC = reg.Counter(obs.MetricSpillReadMismatch, "spill read-backs whose body did not self-identify")
-	sp.shedC.Add(float64(sp.shed))
-	sp.catchupC.Add(float64(sp.catchup))
-	sp.mismatchC.Add(float64(sp.mismatch))
+	reg.CounterFunc(obs.MetricSpillShedWrites, "writes shed during spill-tier brownouts",
+		func() float64 { return float64(sp.shed) })
+	reg.CounterFunc(obs.MetricSpillCatchupWrites, "shed writes re-persisted after the tier healed",
+		func() float64 { return float64(sp.catchup) })
+	reg.CounterFunc(obs.MetricSpillReadMismatch, "spill read-backs whose body did not self-identify",
+		func() float64 { return float64(sp.mismatch) })
 }
 
 // CloseSpill syncs and closes the durable tier (idempotent, nil-safe).

@@ -57,14 +57,7 @@ type RESPBackend struct {
 	shed      uint64
 
 	latency *obs.HistogramVec
-	vtimeG  *obs.Gauge
-	keysG   *obs.Gauge
-	shedC   *obs.Counter
 }
-
-// respEpochNs is the co-simulation epoch: how much virtual time elapses
-// between EpochFlows resolutions (kvstore.Run's default cadence).
-const respEpochNs = 10e6
 
 // NewRESPBackend wraps st (required) and tier (optional) for RESP
 // serving. The store prices operations; the tier persists them.
@@ -81,18 +74,23 @@ func NewRESPBackend(st *Store, tier *spill.Dir) *RESPBackend {
 func (b *RESPBackend) SetDegraded(fn func() bool) { b.degraded = fn }
 
 // Instrument publishes the backend's simulated-latency histograms,
-// virtual clock, keyspace size, and shed-write counter into reg.
+// virtual clock, keyspace size, and shed-write counter into reg. The
+// last three read the backend's own state under its mutex.
 func (b *RESPBackend) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	b.latency = reg.HistogramVec(obs.MetricRESPServiceNs,
 		"simulated per-command service time, ns", nil, "cmd")
-	b.vtimeG = reg.Gauge(obs.MetricRESPVirtualTimeNs,
-		"virtual time accumulated by the RESP backend, ns")
-	b.keysG = reg.Gauge(obs.MetricRESPKeys, "live keys in the RESP keyspace")
-	b.shedC = reg.Counter(obs.MetricRESPShedWrites,
-		"RESP writes rejected with -BUSY during spill brownouts")
+	reg.GaugeFunc(obs.MetricRESPVirtualTimeNs, "virtual time accumulated by the RESP backend, ns",
+		func() float64 { return float64(b.VirtualNow()) })
+	reg.GaugeFunc(obs.MetricRESPKeys, "live keys in the RESP keyspace", func() float64 {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return float64(len(b.vals))
+	})
+	reg.CounterFunc(obs.MetricRESPShedWrites, "RESP writes rejected with -BUSY during spill brownouts",
+		func() float64 { return float64(b.ShedWrites()) })
 }
 
 // brownedOut reports whether the durable tier is currently degraded.
@@ -121,13 +119,12 @@ func (b *RESPBackend) simKey(key []byte) uint64 {
 func (b *RESPBackend) charge(cmd string, kind workload.OpKind, key []byte) {
 	t := b.store.ServiceTime(workload.Op{Kind: kind, Key: b.simKey(key)}, b.now)
 	b.now += sim.Time(t)
-	if b.now-b.lastEpoch >= respEpochNs {
+	if b.now-b.lastEpoch >= epochNs {
 		b.store.EpochFlows(float64(b.now - b.lastEpoch))
 		b.lastEpoch = b.now
 	}
 	if b.latency != nil {
 		b.latency.With(cmd).Observe(t)
-		b.vtimeG.Set(float64(b.now))
 	}
 }
 
@@ -203,7 +200,7 @@ func (b *RESPBackend) set(cmd string, key, val []byte) error {
 		return err
 	}
 	if b.brownedOut() {
-		b.shedWrite()
+		b.shed++
 		return errBusy
 	}
 	return b.put(cmd, key, val)
@@ -216,23 +213,13 @@ func (b *RESPBackend) put(cmd string, key, val []byte) error {
 		if err := b.tier.Put(key, val); err != nil {
 			// Device failure mid-flight: same client contract as a
 			// scheduled brownout.
-			b.shedWrite()
+			b.shed++
 			return resp.ReplyError("BUSY spill tier error: " + err.Error())
 		}
 	}
 	b.charge(cmd, workload.OpUpdate, key)
 	b.vals[string(key)] = append([]byte(nil), val...)
-	if b.keysG != nil {
-		b.keysG.Set(float64(len(b.vals)))
-	}
 	return nil
-}
-
-func (b *RESPBackend) shedWrite() {
-	b.shed++
-	if b.shedC != nil {
-		b.shedC.Inc()
-	}
 }
 
 // Del implements resp.Backend.
@@ -240,7 +227,7 @@ func (b *RESPBackend) Del(keys [][]byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.brownedOut() {
-		b.shedWrite()
+		b.shed++
 		return 0, errBusy
 	}
 	// Reject the whole command before deleting anything.
@@ -258,16 +245,13 @@ func (b *RESPBackend) Del(keys [][]byte) (int64, error) {
 		}
 		if b.tier != nil {
 			if err := b.tier.Delete(key); err != nil {
-				b.shedWrite()
+				b.shed++
 				return n, resp.ReplyError("BUSY spill tier error: " + err.Error())
 			}
 		}
 		b.charge("del", workload.OpUpdate, key)
 		delete(b.vals, string(key))
 		n++
-	}
-	if b.keysG != nil {
-		b.keysG.Set(float64(len(b.vals)))
 	}
 	return n, nil
 }
@@ -344,7 +328,7 @@ func (b *RESPBackend) MSet(pairs [][]byte) error {
 		}
 	}
 	if b.brownedOut() {
-		b.shedWrite()
+		b.shed++
 		return errBusy
 	}
 	for i := 0; i+1 < len(pairs); i += 2 {

@@ -1,7 +1,13 @@
 package kvstore
 
 import (
+	"fmt"
+	"io"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"cxlsim/internal/obs"
@@ -272,7 +278,7 @@ func TestRESPBackendVirtualClock(t *testing.T) {
 	}
 	// 5000 DRAM reads at ~hundreds of ns each crosses the 10 ms epoch
 	// boundary at least once, so lastEpoch must have moved.
-	if after2 > respEpochNs && b.lastEpoch == 0 {
+	if after2 > epochNs && b.lastEpoch == 0 {
 		t.Fatal("epoch never resolved despite crossing the cadence")
 	}
 
@@ -288,6 +294,111 @@ func TestRESPBackendVirtualClock(t *testing.T) {
 	for _, want := range []string{"virtual_time_ns:", "db0:keys=1", "hit_rate:"} {
 		if !strings.Contains(info, want) {
 			t.Fatalf("INFO missing %q:\n%s", want, info)
+		}
+	}
+}
+
+// TestRESPKeysMatchesInfoAfterReadThrough: a GET that reads a key
+// through from the spill log makes it memory-resident, and resp_keys
+// must count it exactly as INFO's keyspace line does.
+func TestRESPKeysMatchesInfoAfterReadThrough(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTier(t, dir)
+	if err := NewRESPBackend(respStore(t), tier).Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := NewRESPBackend(respStore(t), openTier(t, dir))
+	reg := obs.NewRegistry()
+	b.Instrument(reg)
+	if v, ok, err := b.Get([]byte("k")); !ok || err != nil || string(v) != "v" {
+		t.Fatalf("read-through get: %q ok=%v err=%v", v, ok, err)
+	}
+	m := regexp.MustCompile(`db0:keys=(\d+)`).FindStringSubmatch(b.Info())
+	if m == nil {
+		t.Fatalf("INFO has no keyspace line:\n%s", b.Info())
+	}
+	infoKeys, _ := strconv.Atoi(m[1])
+	f, _ := reg.Snapshot().Find(obs.MetricRESPKeys)
+	if len(f.Metrics) != 1 || f.Metrics[0].Value != float64(infoKeys) || infoKeys != 1 {
+		t.Fatalf("resp_keys = %+v, INFO db0:keys=%d; want both 1", f.Metrics, infoKeys)
+	}
+}
+
+// TestRESPBackendConcurrentScrape scrapes /metrics while clients write
+// and read a spill-backed backend, as cxlserve does: every
+// function-backed family reads its owner's state safely (run under
+// -race), and the final scrape agrees with the owners' counts.
+func TestRESPBackendConcurrentScrape(t *testing.T) {
+	tier := openTier(t, t.TempDir())
+	b := NewRESPBackend(respStore(t), tier)
+	reg := obs.NewRegistry()
+	tier.Instrument(reg)
+	b.Instrument(reg)
+	srv := httptest.NewServer(obs.PromHandler(reg))
+	defer srv.Close()
+	scrape := func() string {
+		resp, err := srv.Client().Get(srv.URL)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return string(body)
+	}
+
+	const clients, perClient = 4, 50
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				key := []byte(fmt.Sprintf("c%d-k%d", c, i))
+				if err := b.Set(key, []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok, err := b.Get(key); !ok || err != nil {
+					t.Errorf("get %s: ok=%v err=%v", key, ok, err)
+					return
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+			scrape()
+		}
+	}
+
+	final := scrape()
+	keys := float64(clients * perClient)
+	for name, want := range map[string]float64{
+		obs.MetricRESPKeys:            keys,
+		obs.MetricSpillRecordsWritten: keys,
+		obs.MetricSpillLiveKeys:       keys,
+		obs.MetricSpillFsyncs:         float64(tier.Stats().Fsyncs),
+		obs.MetricRESPVirtualTimeNs:   float64(b.VirtualNow()),
+	} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(final)
+		if m == nil {
+			t.Errorf("final scrape has no %s sample", name)
+			continue
+		}
+		if got, _ := strconv.ParseFloat(m[1], 64); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -23,7 +23,12 @@ type OpSource interface {
 // Closed-loop client constants (§4.1.1 methodology).
 const (
 	clientThreads = 32     // YCSB client threads per node
+	serverThreads = 7      // KeyDB server-threads
 	networkRTTNs  = 10_000 // client↔server round trip over the 100 Gbps network
+
+	// epochNs is the co-simulation epoch: Run's ticker period, Warm's
+	// step, and RESPBackend's EpochFlows cadence.
+	epochNs = 10e6
 )
 
 // RunConfig drives one YCSB run against a store (§4.1.1 methodology: a
@@ -31,10 +36,9 @@ const (
 // 100 Gbps network to a KeyDB instance with seven server-threads). The
 // first Ops/4 operations warm up the run and are not measured.
 type RunConfig struct {
-	Mix           workload.YCSBMix
-	ServerThreads int // KeyDB server-threads (default 7, §4.1.1)
-	Ops           int // measured operations (default 50_000)
-	Seed          int64
+	Mix  workload.YCSBMix
+	Ops  int // measured operations (default 50_000)
+	Seed int64
 
 	// Source overrides the YCSB generator with an arbitrary operation
 	// stream (e.g. a trace.Replayer); Mix is then only used for cache
@@ -45,8 +49,6 @@ type RunConfig struct {
 	// run (the Hot-Promote configuration).
 	Daemon tiering.Daemon
 	Tiers  tiering.Tiers
-
-	EpochNs float64 // co-simulation epoch (default 10 ms)
 
 	// Metrics, when non-nil, publishes the run's instrumentation into
 	// the registry: per-op counters (kvstore_ops_total), the latency
@@ -82,16 +84,10 @@ type RunConfig struct {
 }
 
 func (rc *RunConfig) fill() {
-	if rc.ServerThreads == 0 {
-		rc.ServerThreads = 7
-	}
 	if rc.Ops == 0 {
 		rc.Ops = 50_000
 	}
-	if rc.EpochNs == 0 {
-		rc.EpochNs = 10e6
-	}
-	if rc.ServerThreads < 1 || rc.Ops < 1 {
+	if rc.Ops < 1 {
 		panic(fmt.Sprintf("kvstore: invalid run config %+v", *rc))
 	}
 }
@@ -118,13 +114,10 @@ type Result struct {
 	Forwarded uint64
 }
 
-// P99Ms is a convenience accessor for tail-latency tables (Fig. 5(b)).
-func (r Result) P99Ms() float64 { return r.Latency.Percentile(99) / 1e6 }
-
 // Run executes one YCSB workload against the store, returning measured
 // throughput and latency distributions. It is a discrete-event
 // simulation: closed-loop clients feed a FIFO dispatch queue served by
-// ServerThreads workers whose service times come from the store's cost
+// seven server threads whose service times come from the store's cost
 // model under the current epoch's loaded memory latencies.
 func Run(store *Store, alloc *vmm.Allocator, rc RunConfig) Result {
 	rc.fill()
@@ -171,7 +164,7 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		// count), so installing per-node observers would both misattribute
 		// events and break shard-count invariance. Cluster runs report
 		// kernel totals through ClusterResult.Events instead.
-		eng.SetObserver(obs.NewKernelObserver(rc.Metrics, rc.Tracer, 0))
+		eng.SetObserver(obs.NewKernelObserver(rc.Metrics, rc.Tracer))
 	}
 	if rc.Metrics != nil {
 		latH = rc.Metrics.Histogram("kvstore_op_latency_ns",
@@ -250,11 +243,11 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		latH:       latH,
 		readH:      readH,
 		opsC:       opsC,
-		free:       rc.ServerThreads,
+		free:       serverThreads,
 		warmupOps:  rc.Ops / 4,
 		totalOps:   rc.Ops + rc.Ops/4,
-		inflight:   make([]pendingOp, rc.ServerThreads),
-		slots:      make([]uint64, rc.ServerThreads),
+		inflight:   make([]pendingOp, serverThreads),
+		slots:      make([]uint64, serverThreads),
 		timeoutNs:  pol.TimeoutNs,
 		backoffNs:  pol.BackoffNs,
 		maxRetries: pol.MaxRetries,
@@ -262,10 +255,16 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 	for i := range rl.slots {
 		rl.slots[i] = uint64(i)
 	}
+	// The retry and forwarding families read the run's own Result: only
+	// the run's goroutine touches either until Run returns. They appear
+	// exactly when the run can move them.
 	if rc.Metrics != nil && pol.TimeoutNs > 0 {
-		rl.toC = rc.Metrics.Counter(obs.MetricKVTimeouts, "attempts abandoned past the client timeout")
-		rl.rtC = rc.Metrics.Counter(obs.MetricKVRetries, "op re-issues after a timeout")
-		rl.flC = rc.Metrics.Counter(obs.MetricKVFailed, "ops abandoned after exhausting retries")
+		rc.Metrics.CounterFunc(obs.MetricKVTimeouts, "attempts abandoned past the client timeout",
+			func() float64 { return float64(res.Timeouts) })
+		rc.Metrics.CounterFunc(obs.MetricKVRetries, "op re-issues after a timeout",
+			func() float64 { return float64(res.Retries) })
+		rc.Metrics.CounterFunc(obs.MetricKVFailed, "ops abandoned after exhausting retries",
+			func() float64 { return float64(res.Failed) })
 		rl.backoffH = rc.Metrics.Histogram(obs.MetricKVBackoff,
 			"retry backoff waits, ns", stats.NewLatencyHistogram)
 	}
@@ -275,20 +274,21 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		// invariant across shard counts.
 		rl.destRng = rand.New(rand.NewSource(rc.Seed*31 + 12347))
 		if rc.Metrics != nil {
-			rl.fwdC = rc.Metrics.Counter("kvstore_remote_forwarded_total",
-				"ops forwarded to their owning node over the cluster fabric")
+			rc.Metrics.CounterFunc("kvstore_remote_forwarded_total",
+				"ops forwarded to their owning node over the cluster fabric",
+				func() float64 { return float64(res.Forwarded) })
 		}
 	}
 
 	// Epoch ticker: resolve memory contention, run the tiering daemon,
 	// age heat.
-	ticker := eng.Every(sim.Time(rc.EpochNs), func(now sim.Time) {
+	ticker := eng.Every(epochNs, func(now sim.Time) {
 		if daemon != nil {
 			rep := daemon.Tick(now, store.Space(), alloc)
 			res.Migrated += rep.TotalBytes()
 			chargeMigration(store, rc.Tiers, rep)
 		}
-		store.EpochFlows(rc.EpochNs)
+		store.EpochFlows(epochNs)
 		store.Space().DecayHeat(0.5)
 		if instrumented {
 			util, peaks := store.EpochUtilization()
@@ -391,7 +391,6 @@ type runLoop struct {
 	// Client resilience (zero values = disabled, the healthy hot path).
 	timeoutNs, backoffNs float64
 	maxRetries           int
-	toC, rtC, flC        *obs.Counter
 	backoffH             *obs.Histogram
 
 	// Cluster wiring (nil/zero outside RunCluster; every check below is
@@ -399,7 +398,6 @@ type runLoop struct {
 	cl      *clusterRun
 	nodeID  int
 	destRng *rand.Rand
-	fwdC    *obs.Counter
 }
 
 // HandleEvent implements sim.Handler: one server thread finishes the op
@@ -528,9 +526,6 @@ func (rl *runLoop) clientTimeout(p pendingOp, now sim.Time, slot uint64, svc flo
 		return
 	}
 	rl.res.Timeouts++
-	if rl.toC != nil {
-		rl.toC.Inc()
-	}
 	deadline := now + sim.Time(rl.timeoutNs)
 	p.attempt++
 	if p.attempt > rl.maxRetries {
@@ -538,9 +533,6 @@ func (rl *runLoop) clientTimeout(p pendingOp, now sim.Time, slot uint64, svc flo
 		return
 	}
 	rl.res.Retries++
-	if rl.rtC != nil {
-		rl.rtC.Inc()
-	}
 	backoff := rl.backoffNs * float64(uint64(1)<<uint(p.attempt-1))
 	if rl.backoffH != nil {
 		rl.backoffH.Observe(backoff)
@@ -562,18 +554,12 @@ func (rl *runLoop) requeue(p pendingOp, now sim.Time) {
 // dispatch re-forwards it.
 func (rl *runLoop) remoteTimedOut(p pendingOp, now sim.Time) {
 	rl.res.Timeouts++
-	if rl.toC != nil {
-		rl.toC.Inc()
-	}
 	p.attempt++
 	if p.attempt > rl.maxRetries {
 		rl.finishFailed(now)
 		return
 	}
 	rl.res.Retries++
-	if rl.rtC != nil {
-		rl.rtC.Inc()
-	}
 	backoff := rl.backoffNs * float64(uint64(1)<<uint(p.attempt-1))
 	if rl.backoffH != nil {
 		rl.backoffH.Observe(backoff)
@@ -591,9 +577,6 @@ func (rl *runLoop) finishFailed(now sim.Time) {
 	rl.completed++
 	rl.inflightOps--
 	rl.res.Failed++
-	if rl.flC != nil {
-		rl.flC.Inc()
-	}
 	if rl.completed == rl.warmupOps {
 		rl.measureStart = now
 	}
@@ -776,7 +759,7 @@ func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed 
 	space := d.Store.Space()
 	var now sim.Time
 	for e := 0; e < epochs; e++ {
-		now += sim.Millisecond * 10
+		now += epochNs
 		// Same heat weight per op as ServiceTime, so warm-phase heat and
 		// measurement-phase heat are on one scale.
 		weight := d.Store.depth + valueLines

@@ -129,17 +129,6 @@ func LoadedLatency(path *memsim.Path, mix memsim.Mix, opts Options) Curve {
 	return curve
 }
 
-// SweepMixes produces the per-mix curve family for one path — one panel
-// of Fig. 3. Curves are swept concurrently (on top of each curve's own
-// per-point parallelism) and returned in mix order.
-func SweepMixes(path *memsim.Path, mixes []memsim.Mix, opts Options) []Curve {
-	out := make([]Curve, len(mixes))
-	par.ForEach(len(mixes), opts.Parallel, func(i int) {
-		out[i] = LoadedLatency(path, mixes[i], opts)
-	})
-	return out
-}
-
 // SweepPaths produces the per-path curve family for one mix — one panel
 // of Fig. 4 (a–f), comparing distances at a fixed mix. Curves are swept
 // concurrently and returned in path order.

@@ -132,10 +132,6 @@ func TestLatencySpikesNearSaturation(t *testing.T) {
 
 func TestSweepHelpers(t *testing.T) {
 	local, remote, _, _ := paths(t)
-	mixCurves := SweepMixes(local, memsim.StandardMixes(), DefaultOptions())
-	if len(mixCurves) != 5 {
-		t.Fatalf("SweepMixes returned %d curves, want 5", len(mixCurves))
-	}
 	pathCurves := SweepPaths([]*memsim.Path{local, remote}, memsim.ReadOnly, DefaultOptions())
 	if len(pathCurves) != 2 {
 		t.Fatalf("SweepPaths returned %d curves, want 2", len(pathCurves))

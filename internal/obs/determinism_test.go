@@ -25,10 +25,9 @@ func instrumentedRun(t *testing.T) ([]byte, obs.Snapshot, []string) {
 	defer obs.InstrumentMemsim(nil)
 
 	rc := d.RunConfigFor(workload.YCSBA, 42)
-	rc.Ops = 1_500
-	// A short run covers only a fraction of the default 10 ms epoch;
-	// tighten it so solver, tiering, and utilization sampling all fire.
-	rc.EpochNs = 100_000
+	// Long enough to cross several 10 ms epochs, so solver, tiering,
+	// and utilization sampling all fire.
+	rc.Ops = 6_000
 	rc.Metrics = reg
 	rc.Tracer = tr
 	kvstore.Run(d.Store, d.Alloc, rc)

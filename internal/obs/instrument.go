@@ -15,9 +15,12 @@ const (
 	MetricSimCanceled   = "sim_events_canceled_total"
 	MetricSimQueueDepth = "sim_queue_depth"
 
-	MetricSolves      = "memsim_solves_total"
-	MetricUtilization = "memsim_resource_utilization"
-	MetricBandwidth   = "memsim_resource_bandwidth_gbps"
+	MetricSolves            = "memsim_solves_total"
+	MetricUtilization       = "memsim_resource_utilization"
+	MetricBandwidth         = "memsim_resource_bandwidth_gbps"
+	MetricSolveCacheHits    = "memsim_solve_cache_hits_total"
+	MetricSolveCacheMisses  = "memsim_solve_cache_misses_total"
+	MetricSolveCacheEntries = "memsim_solve_cache_entries"
 
 	MetricTierPromotedPages = "tiering_promoted_pages_total"
 	MetricTierDemotedPages  = "tiering_demoted_pages_total"
@@ -67,25 +70,23 @@ const (
 )
 
 // KernelObserver implements sim.Observer: it counts event lifecycle
-// transitions into a registry and periodically samples queue depth into
-// a tracer counter track. Use one observer per engine (the sampling
-// stride is per-observer state).
+// transitions into a registry and samples queue depth into a tracer
+// counter track every kernelSampleEvery fired events. Use one observer
+// per engine (the sampling stride is per-observer state).
 type KernelObserver struct {
 	scheduled, fired, canceled *Counter
 	queueDepth                 *Gauge
 	tracer                     *Tracer
-	sampleEvery                int
 	sinceSample                int
 }
 
+// kernelSampleEvery is the trace's queue-depth sampling stride, in fired
+// events.
+const kernelSampleEvery = 256
+
 // NewKernelObserver wires an observer to reg and tr; either may be nil.
-// sampleEvery controls how often (in fired events) a queue-depth counter
-// sample lands in the trace; ≤0 means every 256 events.
-func NewKernelObserver(reg *Registry, tr *Tracer, sampleEvery int) *KernelObserver {
-	if sampleEvery <= 0 {
-		sampleEvery = 256
-	}
-	o := &KernelObserver{tracer: tr, sampleEvery: sampleEvery}
+func NewKernelObserver(reg *Registry, tr *Tracer) *KernelObserver {
+	o := &KernelObserver{tracer: tr}
 	if reg != nil {
 		o.scheduled = reg.Counter(MetricSimScheduled, "events enqueued on the sim kernel")
 		o.fired = reg.Counter(MetricSimFired, "events executed by the sim kernel")
@@ -110,7 +111,7 @@ func (o *KernelObserver) EventFired(now sim.Time, pending int) {
 		o.queueDepth.Set(float64(pending))
 	}
 	o.sinceSample++
-	if o.sinceSample >= o.sampleEvery {
+	if o.sinceSample >= kernelSampleEvery {
 		o.sinceSample = 0
 		o.tracer.Counter("sim", "queue_depth", now, map[string]float64{"pending": float64(pending)})
 	}
@@ -146,6 +147,24 @@ func InstrumentMemsim(reg *Registry) {
 			util.With(r.Name).Set(frac)
 			bw.With(r.Name).Set(frac * r.Peak.Max())
 		}
+	})
+}
+
+// InstrumentSolveCache publishes the process-wide memsim solve cache's
+// hit, miss and entry counts into reg, read live from
+// memsim.SolveCacheStats.
+func InstrumentSolveCache(reg *Registry) {
+	reg.CounterFunc(MetricSolveCacheHits, "memsim solves answered from the solve cache", func() float64 {
+		hits, _, _ := memsim.SolveCacheStats()
+		return float64(hits)
+	})
+	reg.CounterFunc(MetricSolveCacheMisses, "memsim solves computed and added to the solve cache", func() float64 {
+		_, misses, _ := memsim.SolveCacheStats()
+		return float64(misses)
+	})
+	reg.GaugeFunc(MetricSolveCacheEntries, "solutions held in the memsim solve cache", func() float64 {
+		_, _, entries := memsim.SolveCacheStats()
+		return float64(entries)
 	})
 }
 

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
-
 // Merge folds every metric in src into r: counters and gauges add their
 // values, histograms merge bucket-by-bucket (identical geometry required,
 // as stats.Histogram.Merge demands), and src's self-metrics (discarded
@@ -26,27 +21,8 @@ func (r *Registry) Merge(src *Registry) {
 	if src == nil || src == r {
 		return
 	}
-	src.mu.Lock()
-	fams := make([]*family, 0, len(src.families))
-	for _, f := range src.families {
-		fams = append(fams, f)
-	}
-	srcNeg := src.negDeltas.Load()
-	srcTracers := append([]*Tracer(nil), src.tracers...)
-	src.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, sf := range fams {
+	src.walk(func(sf *family, kids []*child) {
 		df := r.family(sf.name, sf.help, sf.kind, sf.labels, sf.newHist)
-		sf.mu.Lock()
-		kids := make([]*child, 0, len(sf.children))
-		for _, c := range sf.children {
-			kids = append(kids, c)
-		}
-		sf.mu.Unlock()
-		sort.Slice(kids, func(i, j int) bool {
-			return strings.Join(kids[i].values, labelSep) < strings.Join(kids[j].values, labelSep)
-		})
 		for _, c := range kids {
 			dc := df.get(c.values)
 			switch sf.kind {
@@ -58,8 +34,12 @@ func (r *Registry) Merge(src *Registry) {
 				dc.hist.merge(c.hist)
 			}
 		}
-	}
+	})
 
+	src.mu.Lock()
+	srcNeg := src.negDeltas.Load()
+	srcTracers := append([]*Tracer(nil), src.tracers...)
+	src.mu.Unlock()
 	r.negDeltas.Add(srcNeg)
 	for _, t := range srcTracers {
 		r.TrackTracer(t)

@@ -37,7 +37,8 @@ const (
 
 // Counter is a monotonically increasing value. Safe for concurrent use.
 type Counter struct {
-	bits atomic.Uint64 // float64 bits
+	bits atomic.Uint64                  // float64 bits
+	fn   atomic.Pointer[func() float64] // set by CounterFunc: Value reads it
 	// disc, when non-nil, counts discarded (negative or NaN) deltas into
 	// the owning registry's obs_counter_negative_deltas_total self-metric,
 	// so silent data loss is visible in every exposition.
@@ -66,12 +67,19 @@ func (c *Counter) Add(v float64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value reads the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// Value reads the current count: the registered function's result for a
+// CounterFunc, else the sum of every Add.
+func (c *Counter) Value() float64 {
+	if fn := c.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return math.Float64frombits(c.bits.Load())
+}
 
 // Gauge is a value that can go up and down. Safe for concurrent use.
 type Gauge struct {
 	bits atomic.Uint64
+	fn   atomic.Pointer[func() float64] // set by GaugeFunc: Value reads it
 }
 
 // Set replaces the gauge's value.
@@ -88,8 +96,14 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// Value reads the current value: the registered function's result for a
+// GaugeFunc, else the last Set (plus any Adds).
+func (g *Gauge) Value() float64 {
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Exemplar links one tail observation back to the trace span that
 // produced it, so a p99 bucket in an exposition is one hop away from the
@@ -345,6 +359,19 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, KindCounter, nil, nil).get(nil).ctr
 }
 
+// CounterFunc registers the unlabeled counter name as a view of a count
+// its owner already keeps: every read (Value, Snapshot, WriteProm, Merge,
+// Windows) calls fn, so there is no second copy to keep in step.
+//
+// fn may run on any goroutine, so it must read atomics or take its
+// owner's lock. The registry calls it with no registry or family lock
+// held; a Windows seal holds only the Windows lock, so fn must not call
+// into that Windows. Registering the name again replaces fn, and Adds to
+// the counter are not visible while a function is registered.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.Counter(name, help).fn.Store(&fn)
+}
+
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
@@ -359,6 +386,12 @@ func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).ct
 // Gauge returns the unlabeled gauge with the given name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, KindGauge, nil, nil).get(nil).gauge
+}
+
+// GaugeFunc registers the unlabeled gauge name as a view of a value its
+// owner already keeps, under the same contract as CounterFunc.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.Gauge(name, help).fn.Store(&fn)
 }
 
 // GaugeVec is a labeled gauge family.
@@ -414,10 +447,12 @@ type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`
 }
 
-// Snapshot captures every family. It is safe to call while writers are
-// active; each metric is read atomically (counters/gauges) or under its
-// own lock (histograms), so the snapshot is per-metric consistent.
-func (r *Registry) Snapshot() Snapshot {
+// walk visits every family in name order with its children in label
+// order — the one deterministic ordering Snapshot, Merge and Windows
+// share. The registry and family locks are held only while the lists are
+// copied, never while visit runs, so visit may read function-backed
+// metrics.
+func (r *Registry) walk(visit func(f *family, kids []*child)) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -425,10 +460,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	var snap Snapshot
 	for _, f := range fams {
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind, Labels: f.labels}
 		f.mu.Lock()
 		kids := make([]*child, 0, len(f.children))
 		for _, c := range f.children {
@@ -438,6 +470,17 @@ func (r *Registry) Snapshot() Snapshot {
 		sort.Slice(kids, func(i, j int) bool {
 			return strings.Join(kids[i].values, labelSep) < strings.Join(kids[j].values, labelSep)
 		})
+		visit(f, kids)
+	}
+}
+
+// Snapshot captures every family. It is safe to call while writers are
+// active; each metric is read atomically (counters/gauges) or under its
+// own lock (histograms), so the snapshot is per-metric consistent.
+func (r *Registry) Snapshot() Snapshot {
+	var snap Snapshot
+	r.walk(func(f *family, kids []*child) {
+		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind, Labels: f.labels}
 		for _, c := range kids {
 			ms := MetricSnapshot{LabelValues: c.values}
 			switch f.kind {
@@ -453,7 +496,7 @@ func (r *Registry) Snapshot() Snapshot {
 			fs.Metrics = append(fs.Metrics, ms)
 		}
 		snap.Families = append(snap.Families, fs)
-	}
+	})
 
 	r.mu.Lock()
 	var dropped uint64

@@ -181,3 +181,71 @@ func TestPromFormat(t *testing.T) {
 		t.Fatalf("final cumulative bucket = %d, want 3", last)
 	}
 }
+
+// TestFuncMetrics takes function-backed metrics through every reader:
+// Value, Snapshot, WriteProm, Merge and the Windows deltas all see the
+// owner's count with no copy kept in the registry.
+func TestFuncMetrics(t *testing.T) {
+	var owned, level float64
+	r := NewRegistry()
+	r.CounterFunc("owned_total", "owner-kept count", func() float64 { return owned })
+	r.GaugeFunc("level", "owner-kept level", func() float64 { return level })
+	w := NewWindows(r, 10)
+
+	owned, level = 3, 7
+	if got := r.Counter("owned_total", "").Value(); got != 3 {
+		t.Fatalf("Counter.Value = %v, want 3", got)
+	}
+	if got := r.Gauge("level", "").Value(); got != 7 {
+		t.Fatalf("Gauge.Value = %v, want 7", got)
+	}
+	snap := r.Snapshot()
+	if f, ok := snap.Find("owned_total"); !ok || f.Kind != KindCounter || f.Metrics[0].Value != 3 {
+		t.Fatalf("snapshot counter = %+v", f)
+	}
+	if f, ok := snap.Find("level"); !ok || f.Kind != KindGauge || f.Metrics[0].Value != 7 {
+		t.Fatalf("snapshot gauge = %+v", f)
+	}
+	prom, err := snapToProm(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP owned_total owner-kept count\n# TYPE owned_total counter\nowned_total 3\n",
+		"# TYPE level gauge\nlevel 7\n",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, prom)
+		}
+	}
+
+	w.Flush(10)
+	owned, level = 5, 2
+	w.Flush(20)
+	ws := w.Snapshot()
+	for i, want := range []struct{ delta, level float64 }{{3, 7}, {2, 2}} {
+		if c := ws[i].Counters; len(c) != 1 || c[0].Name != "owned_total" || c[0].Delta != want.delta {
+			t.Fatalf("window %d counters = %+v, want delta %v", i, c, want.delta)
+		}
+		if g := ws[i].Gauges; len(g) != 1 || g[0].Value != want.level {
+			t.Fatalf("window %d gauges = %+v, want %v", i, g, want.level)
+		}
+	}
+
+	dst := NewRegistry()
+	dst.Counter("owned_total", "owner-kept count").Add(10)
+	dst.Merge(r)
+	dst.Merge(r)
+	if got := dst.Counter("owned_total", "").Value(); got != 20 {
+		t.Fatalf("merged counter = %v, want 10+5+5", got)
+	}
+	if got := dst.Gauge("level", "").Value(); got != 4 {
+		t.Fatalf("merged gauge = %v, want 2+2", got)
+	}
+
+	// Registering the name again replaces the function.
+	r.CounterFunc("owned_total", "owner-kept count", func() float64 { return 42 })
+	if got := r.Counter("owned_total", "").Value(); got != 42 {
+		t.Fatalf("re-registered counter = %v, want 42", got)
+	}
+}

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -206,24 +205,7 @@ func (w *Windows) seal(end sim.Time, partial bool) {
 // distribution window over window. Caller holds w.mu.
 func (w *Windows) collect(ws *WindowSnapshot) {
 	span := (ws.EndNs - ws.StartNs) / 1e9 // seconds of virtual time
-	w.reg.mu.Lock()
-	fams := make([]*family, 0, len(w.reg.families))
-	for _, f := range w.reg.families {
-		fams = append(fams, f)
-	}
-	w.reg.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		f.mu.Lock()
-		kids := make([]*child, 0, len(f.children))
-		for _, c := range f.children {
-			kids = append(kids, c)
-		}
-		f.mu.Unlock()
-		sort.Slice(kids, func(i, j int) bool {
-			return strings.Join(kids[i].values, labelSep) < strings.Join(kids[j].values, labelSep)
-		})
+	w.reg.walk(func(f *family, kids []*child) {
 		for _, c := range kids {
 			key := f.name + labelSep + strings.Join(c.values, labelSep)
 			switch f.kind {
@@ -263,7 +245,7 @@ func (w *Windows) collect(ws *WindowSnapshot) {
 				})
 			}
 		}
-	}
+	})
 }
 
 // Snapshot returns a copy of every sealed window in order.

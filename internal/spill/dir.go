@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 
 	"cxlsim/internal/obs"
 )
@@ -102,11 +103,15 @@ type Dir struct {
 	failed error // sticky device failure: every later op returns it
 
 	recovery *RecoveryReport
-	stats    Stats
+	n        counts
+}
 
-	// obs instrumentation (nil-safe: zero overhead until Instrument).
-	recordsC, bytesC, readsC, fsyncsC *obs.Counter
-	liveG, segsG                      *obs.Gauge
+// counts is the tier's own I/O accounting. The fields are atomics because
+// the functions Instrument registers read them from whatever goroutine
+// scrapes the registry while the owner writes; Stats loads them.
+type counts struct {
+	records, bytes, userBytes, reads, fsyncs, rotations atomic.Uint64
+	liveKeys, segments                                  atomic.Uint64 // current values, not totals
 }
 
 // Open opens (creating if needed) the tier at opts.Dir, recovering
@@ -132,8 +137,8 @@ func Open(opts Options) (*Dir, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	d.recovery = rep
-	d.stats.LiveKeys = len(d.keydir)
-	d.stats.Segments = rep.Segments
+	d.n.liveKeys.Store(uint64(len(d.keydir)))
+	d.n.segments.Store(uint64(rep.Segments))
 	return d, rep, nil
 }
 
@@ -191,13 +196,9 @@ func (d *Dir) append(r Record) error {
 	} else {
 		d.keydir[string(r.Key)] = entry{seg: d.activeID, off: off, size: uint32(len(buf)), seq: r.Seq}
 	}
-	d.stats.RecordsWritten++
-	d.stats.UserBytes += uint64(len(r.Key) + len(r.Val))
-	if d.recordsC != nil {
-		d.recordsC.Inc()
-	}
-	d.stats.LiveKeys = len(d.keydir)
-	d.setGauges()
+	d.n.records.Add(1)
+	d.n.userBytes.Add(uint64(len(r.Key) + len(r.Val)))
+	d.n.liveKeys.Store(uint64(len(d.keydir)))
 	d.unsynced++
 	if d.opts.SyncEvery > 0 && d.unsynced >= d.opts.SyncEvery {
 		if err := d.Sync(); err != nil {
@@ -229,10 +230,7 @@ func (d *Dir) write(f *os.File, off int64, p []byte) error {
 	if f == d.active {
 		d.activeSize = off + int64(n)
 	}
-	d.stats.BytesWritten += uint64(n)
-	if d.bytesC != nil {
-		d.bytesC.Add(float64(n))
-	}
+	d.n.bytes.Add(uint64(n))
 	if serr != nil {
 		d.failed = serr
 		return serr
@@ -256,10 +254,7 @@ func (d *Dir) Sync() error {
 		return d.failed
 	}
 	d.unsynced = 0
-	d.stats.Fsyncs++
-	if d.fsyncsC != nil {
-		d.fsyncsC.Inc()
-	}
+	d.n.fsyncs.Add(1)
 	return nil
 }
 
@@ -291,9 +286,8 @@ func (d *Dir) rotate() error {
 	}
 	d.active = f
 	d.activeSize = 0
-	d.stats.Rotations++
-	d.stats.Segments++
-	d.setGauges()
+	d.n.rotations.Add(1)
+	d.n.segments.Add(1)
 	return nil
 }
 
@@ -318,10 +312,7 @@ func (d *Dir) writeHint(id uint32) error {
 		if err := f.Sync(); err != nil {
 			werr = fmt.Errorf("spill: %w", err)
 		} else {
-			d.stats.Fsyncs++
-			if d.fsyncsC != nil {
-				d.fsyncsC.Inc()
-			}
+			d.n.fsyncs.Add(1)
 		}
 	}
 	if cerr := f.Close(); cerr != nil && werr == nil {
@@ -369,10 +360,7 @@ func (d *Dir) Get(key []byte) (val []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("spill: %s@%d: %w", segName(e.seg), e.off, err)
 	}
-	d.stats.Reads++
-	if d.readsC != nil {
-		d.readsC.Inc()
-	}
+	d.n.reads.Add(1)
 	out := make([]byte, len(r.Val))
 	copy(out, r.Val)
 	return out, true, nil
@@ -404,9 +392,16 @@ func (d *Dir) Seq() uint64 { return d.seq }
 
 // Stats returns a snapshot of the tier's counters.
 func (d *Dir) Stats() Stats {
-	s := d.stats
-	s.LiveKeys = len(d.keydir)
-	return s
+	return Stats{
+		RecordsWritten: d.n.records.Load(),
+		BytesWritten:   d.n.bytes.Load(),
+		UserBytes:      d.n.userBytes.Load(),
+		Reads:          d.n.reads.Load(),
+		Fsyncs:         d.n.fsyncs.Load(),
+		Rotations:      d.n.rotations.Load(),
+		LiveKeys:       int(d.n.liveKeys.Load()),
+		Segments:       int(d.n.segments.Load()),
+	}
 }
 
 // Recovery returns the report from Open's recovery pass.
@@ -459,23 +454,19 @@ func (d *Dir) KeydirDump() []byte {
 }
 
 // Instrument publishes the tier's counters and the recovery report into
-// the registry. Call once, right after Open.
+// the registry. Call once, right after Open. The I/O families read the
+// tier's own counts, so they include any activity before the call and are
+// safe to scrape while another goroutine drives the tier.
 func (d *Dir) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	d.recordsC = reg.Counter(obs.MetricSpillRecordsWritten, "records appended to the spill log")
-	d.bytesC = reg.Counter(obs.MetricSpillBytesWritten, "bytes physically written to the spill log")
-	d.readsC = reg.Counter(obs.MetricSpillReads, "records read back from the spill log")
-	d.fsyncsC = reg.Counter(obs.MetricSpillFsyncs, "spill log fsyncs")
-	d.liveG = reg.Gauge(obs.MetricSpillLiveKeys, "live keys in the spill keydir")
-	d.segsG = reg.Gauge(obs.MetricSpillSegments, "spill log segments on disk")
-	// Backfill pre-instrumentation activity (bulk seeding, recovery).
-	d.recordsC.Add(float64(d.stats.RecordsWritten))
-	d.bytesC.Add(float64(d.stats.BytesWritten))
-	d.readsC.Add(float64(d.stats.Reads))
-	d.fsyncsC.Add(float64(d.stats.Fsyncs))
-	d.setGauges()
+	reg.CounterFunc(obs.MetricSpillRecordsWritten, "records appended to the spill log", load(&d.n.records))
+	reg.CounterFunc(obs.MetricSpillBytesWritten, "bytes physically written to the spill log", load(&d.n.bytes))
+	reg.CounterFunc(obs.MetricSpillReads, "records read back from the spill log", load(&d.n.reads))
+	reg.CounterFunc(obs.MetricSpillFsyncs, "spill log fsyncs", load(&d.n.fsyncs))
+	reg.GaugeFunc(obs.MetricSpillLiveKeys, "live keys in the spill keydir", load(&d.n.liveKeys))
+	reg.GaugeFunc(obs.MetricSpillSegments, "spill log segments on disk", load(&d.n.segments))
 	if rep := d.recovery; rep != nil {
 		reg.Counter(obs.MetricSpillRecoveryScanned, "records scanned during spill recovery").
 			Add(float64(rep.RecordsScanned))
@@ -488,9 +479,7 @@ func (d *Dir) Instrument(reg *obs.Registry) {
 	}
 }
 
-func (d *Dir) setGauges() {
-	if d.liveG != nil {
-		d.liveG.Set(float64(len(d.keydir)))
-		d.segsG.Set(float64(d.stats.Segments))
-	}
+// load adapts an atomic count to a registry function.
+func load(c *atomic.Uint64) func() float64 {
+	return func() float64 { return float64(c.Load()) }
 }

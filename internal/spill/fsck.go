@@ -62,7 +62,6 @@ func (d *Dir) recover() (*RecoveryReport, error) {
 		}
 		d.active = f
 		rep.Segments = 1
-		d.stats.Segments = 1
 		rep.DurationNs = time.Since(start).Nanoseconds()
 		return rep, nil
 	}
@@ -101,7 +100,6 @@ func (d *Dir) recover() (*RecoveryReport, error) {
 	}
 	d.seq = rep.MaxSeq
 	rep.LiveKeys = len(d.keydir)
-	d.stats.Segments = len(ids)
 	rep.DurationNs = time.Since(start).Nanoseconds()
 	return rep, nil
 }

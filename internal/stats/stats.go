@@ -418,19 +418,3 @@ func Normalize(xs []float64, base float64) []float64 {
 	}
 	return out
 }
-
-// GeoMean returns the geometric mean of positive values; zero if any value
-// is non-positive or the slice is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}

@@ -269,18 +269,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almostEqual(g, 10, 1e-12) {
-		t.Fatalf("geomean = %v, want 10", g)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty should be 0")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("geomean with zero should be 0")
-	}
-}
-
 // Property: histogram quantiles are within one bucket ratio of exact
 // sample quantiles for uniformly random positive data.
 func TestPropertyHistogramQuantileBound(t *testing.T) {

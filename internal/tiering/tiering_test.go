@@ -175,7 +175,7 @@ func TestHotPromoteNameAndDefaults(t *testing.T) {
 	if d.Name() != "hot-promote" {
 		t.Fatal("name")
 	}
-	// Tick with zero threshold defaults to MinThreshold and does not
+	// Tick with zero threshold defaults to DefaultHotThreshold and does not
 	// panic on an empty space.
 	d.Tick(0, vmm.NewSpace(0), vmm.NewAllocator(topology.Testbed()))
 	if d.Threshold != DefaultHotThreshold {

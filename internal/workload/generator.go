@@ -198,62 +198,3 @@ func (l *Latest) Insert() uint64 {
 	l.z.grow(l.z.N() + 1)
 	return l.z.N() - 1
 }
-
-// Hotspot sends hotFrac of requests to the first hotItems items, the rest
-// uniformly to the cold remainder. Used by ablation experiments on
-// promotion policies.
-type Hotspot struct {
-	n        uint64
-	hotItems uint64
-	hotFrac  float64
-	rng      *rand.Rand
-}
-
-// NewHotspot returns a hotspot generator: hotFrac of accesses hit the
-// first hotItems of [0, n).
-func NewHotspot(n, hotItems uint64, hotFrac float64, seed int64) *Hotspot {
-	if n == 0 || hotItems == 0 || hotItems > n {
-		panic("workload: invalid hotspot geometry")
-	}
-	if hotFrac < 0 || hotFrac > 1 {
-		panic("workload: hotFrac out of [0,1]")
-	}
-	return &Hotspot{n: n, hotItems: hotItems, hotFrac: hotFrac, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next returns a hotspot-distributed index.
-func (h *Hotspot) Next() uint64 {
-	if h.rng.Float64() < h.hotFrac {
-		return uint64(h.rng.Int63n(int64(h.hotItems)))
-	}
-	if h.hotItems == h.n {
-		return uint64(h.rng.Int63n(int64(h.n)))
-	}
-	return h.hotItems + uint64(h.rng.Int63n(int64(h.n-h.hotItems)))
-}
-
-// N returns the item-space size.
-func (h *Hotspot) N() uint64 { return h.n }
-
-// Sequential cycles 0,1,...,n-1,0,... Used to model streaming scans.
-type Sequential struct {
-	n, next uint64
-}
-
-// NewSequential returns a sequential generator over [0, n).
-func NewSequential(n uint64) *Sequential {
-	if n == 0 {
-		panic("workload: sequential over empty item space")
-	}
-	return &Sequential{n: n}
-}
-
-// Next returns the next index in cyclic order.
-func (s *Sequential) Next() uint64 {
-	v := s.next
-	s.next = (s.next + 1) % s.n
-	return v
-}
-
-// N returns the item-space size.
-func (s *Sequential) N() uint64 { return s.n }

@@ -159,63 +159,6 @@ func TestLatestInsertShiftsHotSet(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	h := NewHotspot(1000, 100, 0.9, 13)
-	hot := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		v := h.Next()
-		if v >= 1000 {
-			t.Fatalf("hotspot out of range: %d", v)
-		}
-		if v < 100 {
-			hot++
-		}
-	}
-	frac := float64(hot) / draws
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Fatalf("hot fraction = %.3f, want ≈0.9", frac)
-	}
-}
-
-func TestHotspotDegenerate(t *testing.T) {
-	// hotItems == n: all accesses in [0,n) regardless of branch.
-	h := NewHotspot(10, 10, 0.5, 1)
-	for i := 0; i < 1000; i++ {
-		if h.Next() >= 10 {
-			t.Fatal("out of range")
-		}
-	}
-}
-
-func TestHotspotBadParamsPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHotspot(0, 1, 0.5, 1) },
-		func() { NewHotspot(10, 0, 0.5, 1) },
-		func() { NewHotspot(10, 11, 0.5, 1) },
-		func() { NewHotspot(10, 5, 1.5, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestSequentialCycles(t *testing.T) {
-	s := NewSequential(3)
-	want := []uint64{0, 1, 2, 0, 1}
-	for i, w := range want {
-		if v := s.Next(); v != w {
-			t.Fatalf("seq[%d] = %d, want %d", i, v, w)
-		}
-	}
-}
-
 func TestYCSBMixRatios(t *testing.T) {
 	for _, mix := range StandardMixes() {
 		total := mix.Read + mix.Update + mix.Insert + mix.Scan
@@ -315,8 +258,6 @@ func TestPropertyGeneratorsInRange(t *testing.T) {
 			NewZipfian(n, seed),
 			NewScrambledZipfian(n, seed),
 			NewLatest(n, seed),
-			NewHotspot(n, n/2+1, 0.8, seed),
-			NewSequential(n),
 		}
 		for _, g := range gens {
 			for i := 0; i < 200; i++ {
