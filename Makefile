@@ -37,7 +37,12 @@ race-shard:
 		./internal/sim ./internal/kvstore ./internal/llm
 
 # check is the gate: gofmt, vet, build, the reliability-path and sharded-kernel
-# race subsets (fail fast), the full test suite under the race detector,
+# race subsets (fail fast), the full test suite under the race detector
+# (which includes the root TestClaims: every paper number lives in the
+# claims table of claims_test.go, with its band, and EXPERIMENTS.md's
+# tables must match it; print each claim's headroom with
+# `go test . -run TestClaims -v`, regenerate the tables with
+# `go test . -run TestClaims -update`),
 # a build-only smoke of the benchmarks (compiles every benchmark without
 # running it, so bit-rot in bench code fails the gate cheaply), a vet of
 # the bench/cxlperf module (which imports internal packages, so an API

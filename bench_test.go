@@ -3,8 +3,8 @@
 // paper reports under -v (`go test -v -bench=. -benchmem`); without -v
 // the output is pure benchmark result lines, parseable by benchstat and
 // cmd/benchdiff. The wall-clock numbers testing.B reports measure the
-// simulator, while the printed tables carry the reproduced results.
-// EXPERIMENTS.md records paper-vs-measured for each.
+// simulator, while the printed tables carry the reproduced results;
+// claims_test.go checks those results against the paper.
 package cxlsim_test
 
 import (
@@ -13,10 +13,6 @@ import (
 
 	"cxlsim/internal/core"
 	"cxlsim/internal/kvstore"
-	"cxlsim/internal/memsim"
-	"cxlsim/internal/tiering"
-	"cxlsim/internal/topology"
-	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
 )
 
@@ -37,7 +33,7 @@ func report(b *testing.B, id string, opt core.Options) {
 	}
 }
 
-// quickLater returns full fidelity on the first iteration and quick mode
+// opts returns full fidelity on the first iteration and quick mode
 // afterwards, so -benchtime doesn't multiply the heavyweight runs.
 func opts(i int) core.Options {
 	return core.Options{Quick: i > 0}
@@ -117,120 +113,6 @@ func BenchmarkTable3CostModel(b *testing.B) {
 // BenchmarkSec43ElasticRevenue regenerates the §4.3 revenue analysis.
 func BenchmarkSec43ElasticRevenue(b *testing.B) {
 	report(b, "sec43", core.Options{})
-}
-
-// --- Ablation benches for the design choices DESIGN.md calls out ---
-
-// BenchmarkInsightOffloadAblation quantifies the §3.4 insight: offloading
-// 20% of a bandwidth-hungry read workload to CXL improves delivered
-// bandwidth and latency even when MMEM still has ~30% headroom.
-func BenchmarkInsightOffloadAblation(b *testing.B) {
-	m := topology.TestbedSNC()
-	mmem := m.PathFrom(0, m.DRAMNodes(0)[0])
-	cxl := m.PathFrom(0, m.CXLNodes()[0])
-	var only, offload memsim.FlowResult
-	for i := 0; i < b.N; i++ {
-		// Offered load past MMEM capacity: the regime where shedding 20%
-		// to CXL relieves channel contention outright.
-		r1, _ := memsim.SolveOpen([]memsim.OpenFlow{{
-			Placement: memsim.SinglePath(mmem), Mix: memsim.ReadOnly, Offered: 90,
-		}})
-		r2, _ := memsim.SolveOpen([]memsim.OpenFlow{{
-			Placement: memsim.Interleave(mmem, cxl, 4, 1), Mix: memsim.ReadOnly, Offered: 90,
-		}})
-		only, offload = r1[0], r2[0]
-	}
-	b.ReportMetric(only.Latency, "mmem-only-ns")
-	b.ReportMetric(offload.Latency, "offload20-ns")
-	if b.N > 0 && offload.Latency >= only.Latency {
-		b.Fatalf("offload ablation inverted: %v >= %v", offload.Latency, only.Latency)
-	}
-}
-
-// BenchmarkInsightPromotionUnderSaturation quantifies the §5.3 insight:
-// promoting pages INTO an already bandwidth-saturated MMEM makes the
-// workload slower — the latency increase outweighs the medium upgrade.
-func BenchmarkInsightPromotionUnderSaturation(b *testing.B) {
-	m := topology.TestbedSNC()
-	mmem := m.PathFrom(0, m.DRAMNodes(0)[0])
-	cxl := m.PathFrom(0, m.CXLNodes()[0])
-	var before, after memsim.FlowResult
-	for i := 0; i < b.N; i++ {
-		// A workload near MMEM capacity with a 20% CXL slice absorbing overflow.
-		r1, _ := memsim.SolveOpen([]memsim.OpenFlow{{
-			Placement: memsim.Interleave(mmem, cxl, 4, 1), Mix: memsim.ReadOnly, Offered: 75,
-		}})
-		// A naive capacity-driven policy promotes the CXL slice into
-		// MMEM: bandwidth demand concentrates and crosses the knee.
-		r2, _ := memsim.SolveOpen([]memsim.OpenFlow{{
-			Placement: memsim.SinglePath(mmem), Mix: memsim.ReadOnly, Offered: 75,
-		}})
-		before, after = r1[0], r2[0]
-	}
-	b.ReportMetric(before.Latency, "tiered-ns")
-	b.ReportMetric(after.Latency, "promoted-ns")
-	if b.N > 0 && after.Latency <= before.Latency {
-		b.Fatalf("promotion-under-saturation ablation inverted")
-	}
-}
-
-// BenchmarkAblationRSFFix models the §3.2 discussion: with the Remote
-// Snoop Filter limitation fixed (next-gen platform), remote CXL bandwidth
-// should approach remote-DDR levels.
-func BenchmarkAblationRSFFix(b *testing.B) {
-	m := topology.TestbedSNC()
-	cxlNode := m.CXLNodes()[0]
-	broken := m.PathFrom(1, cxlNode)
-	// Future platform: same route without the RSF stage.
-	fixed := memsim.NewPath("CXL-r-fixed", memsim.NewUPILink("upi2"), memsim.NewCXLDevice("cxl2"))
-	var bwBroken, bwFixed float64
-	for i := 0; i < b.N; i++ {
-		bwBroken = broken.PeakBandwidth(memsim.Mix2to1)
-		bwFixed = fixed.PeakBandwidth(memsim.Mix2to1)
-	}
-	b.ReportMetric(bwBroken, "rsf-GB/s")
-	b.ReportMetric(bwFixed, "fixed-GB/s")
-	if b.N > 0 && bwFixed < 2*bwBroken {
-		b.Fatal("RSF fix should at least double cross-socket CXL bandwidth")
-	}
-}
-
-// BenchmarkAblationHotPromoteRateLimit sweeps the promotion rate limit on
-// a Zipfian workload: too low converges slowly, too high floods the
-// memory system; the figure-of-merit is post-convergence fast-tier heat
-// share.
-func BenchmarkAblationHotPromoteRateLimit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, limitMB := range []uint64{8, 64, 512} {
-			m := topology.Testbed()
-			alloc := vmm.NewAllocator(m)
-			space := vmm.NewSpace(0)
-			dram := m.DRAMNodes(0)[0]
-			cxlNode := m.CXLNodes()[0]
-			fill := vmm.NewSpace(0)
-			if err := alloc.Alloc(fill, dram.Capacity-256*vmm.DefaultPageSize,
-				vmm.Bind{Nodes: []*topology.Node{dram}}); err != nil {
-				b.Fatal(err)
-			}
-			pol := vmm.InterleaveNM{Top: []*topology.Node{dram}, Low: []*topology.Node{cxlNode}, N: 1, M: 1}
-			if err := alloc.Alloc(space, 512*vmm.DefaultPageSize, pol); err != nil {
-				b.Fatal(err)
-			}
-			d := &tiering.HotPromote{
-				Tiers:          tiering.Tiers{Fast: []*topology.Node{dram}, Slow: []*topology.Node{cxlNode}},
-				RateLimitBytes: limitMB << 20,
-				AutoThreshold:  true,
-			}
-			gen := workload.NewZipfian(512, 7)
-			for e := 0; e < 30; e++ {
-				for k := 0; k < 20000; k++ {
-					space.Touch(int(gen.Next()), 1, 0)
-				}
-				d.Tick(0, space, alloc)
-				space.DecayHeat(0.5)
-			}
-		}
-	}
 }
 
 // BenchmarkCXL2Pooling runs the §7 extension: pooled-capacity economics

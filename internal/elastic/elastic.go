@@ -69,18 +69,15 @@ type RevenueModel struct {
 	// GiBPerVCPU is the server's actual provisioning ratio (the paper's
 	// example: 1:3 ⇒ 3).
 	GiBPerVCPU float64
-	// CXLPerfPenalty is the measured slowdown of instances running on
-	// CXL memory (the paper measures 12.5% for KeyDB YCSB-C, Fig. 8(b)).
-	CXLPerfPenalty float64
 	// CXLDiscount is the price discount offered on CXL-backed instances
 	// (paper example: 20%).
 	CXLDiscount float64
 }
 
-// PaperExample returns the §4.3.2 worked example: 1:3 provisioning,
-// 12.5% CXL penalty, 20% discount.
+// PaperExample returns the §4.3.2 worked example: 1:3 provisioning and a
+// 20% discount, which covers the 12.5% CXL penalty of Fig. 8(b).
 func PaperExample() RevenueModel {
-	return RevenueModel{GiBPerVCPU: 3, CXLPerfPenalty: 0.125, CXLDiscount: 0.20}
+	return RevenueModel{GiBPerVCPU: 3, CXLDiscount: 0.20}
 }
 
 // validate panics on nonsensical parameters.
@@ -90,9 +87,6 @@ func (m RevenueModel) validate() {
 	}
 	if m.CXLDiscount < 0 || m.CXLDiscount >= 1 {
 		panic("elastic: discount outside [0,1)")
-	}
-	if m.CXLPerfPenalty < 0 || m.CXLPerfPenalty >= 1 {
-		panic("elastic: perf penalty outside [0,1)")
 	}
 }
 
@@ -113,11 +107,4 @@ func (m RevenueModel) StrandedFrac() float64 { return 1 - m.SellableFrac() }
 func (m RevenueModel) RecoveredRevenueFrac() float64 {
 	m.validate()
 	return m.StrandedFrac() * (1 - m.CXLDiscount) / m.SellableFrac()
-}
-
-// DiscountCoversPenalty reports whether the price discount at least
-// compensates customers for the measured CXL performance penalty.
-func (m RevenueModel) DiscountCoversPenalty() bool {
-	m.validate()
-	return m.CXLDiscount >= m.CXLPerfPenalty
 }

@@ -1,81 +1,9 @@
 package elastic
 
-import (
-	"math"
-	"testing"
-)
-
-func TestTable2Rows(t *testing.T) {
-	rows := Table2()
-	if len(rows) != 5 {
-		t.Fatalf("Table 2 has 5 rows, got %d", len(rows))
-	}
-	// The paper's printed required-memory column: 0.64, 0.768, 1, 4.5,
-	// 4.5 TB (it mixes decimal/binary units; we preserve it verbatim and
-	// check our consistent computation stays within unit-mixing error).
-	want := []float64{0.64, 0.768, 1, 4.5, 4.5}
-	for i, r := range rows {
-		if r.PublishedRequiredTB != want[i] {
-			t.Errorf("%s: published required = %v, want %v", r.CPU, r.PublishedRequiredTB, want[i])
-		}
-		if rel := math.Abs(r.RequiredMemoryTB()-want[i]) / want[i]; rel > 0.03 {
-			t.Errorf("%s: computed required %.3f deviates %.1f%% from published %.3f",
-				r.CPU, r.RequiredMemoryTB(), rel*100, want[i])
-		}
-	}
-}
-
-func TestSierraForestGap(t *testing.T) {
-	// §4.3: Sierra Forest supports 1152 vCPUs but ≤4 TB of memory,
-	// "falling short of the typical 4.5 TB needed".
-	var sf Processor
-	for _, r := range Table2() {
-		if r.CPU == "Sierra Forest" {
-			sf = r
-		}
-	}
-	if sf.MemoryGapTB() < 0.4 {
-		t.Fatalf("Sierra Forest gap = %.2f TB, want ≈0.5", sf.MemoryGapTB())
-	}
-	if frac := sf.SellableVCPUFrac(); frac >= 1 {
-		t.Fatal("Sierra Forest should strand vCPUs")
-	}
-	// Earlier parts have no gap.
-	if Table2()[0].MemoryGapTB() != 0 || Table2()[0].SellableVCPUFrac() != 1 {
-		t.Fatal("IceLake-SP should not be memory-gapped")
-	}
-}
-
-func TestPaperRevenueExample(t *testing.T) {
-	// §4.3.2: 1:3 ratio ⇒ only 75% of vCPUs sellable, 25% revenue loss;
-	// 20% discount on CXL instances recovers ≈80% of the lost revenue —
-	// "a 27% improvement in total revenue".
-	m := PaperExample()
-	if f := m.SellableFrac(); f != 0.75 {
-		t.Fatalf("sellable fraction = %v, want 0.75", f)
-	}
-	if f := m.StrandedFrac(); f != 0.25 {
-		t.Fatalf("stranded fraction = %v, want 0.25", f)
-	}
-	rec := m.RecoveredRevenueFrac()
-	if math.Abs(rec-0.2667) > 0.001 {
-		t.Fatalf("recovered revenue = %.4f, want ≈0.2667 (the paper's \"27%%\")", rec)
-	}
-	if !m.DiscountCoversPenalty() {
-		t.Fatal("20% discount should cover the 12.5% CXL penalty")
-	}
-}
-
-func TestDiscountPenaltyBoundary(t *testing.T) {
-	m := PaperExample()
-	m.CXLDiscount = 0.10 // below the 12.5% measured penalty
-	if m.DiscountCoversPenalty() {
-		t.Fatal("10% discount should not cover a 12.5% penalty")
-	}
-}
+import "testing"
 
 func TestPerfectProvisioningRecoversNothing(t *testing.T) {
-	m := RevenueModel{GiBPerVCPU: 4, CXLDiscount: 0.2, CXLPerfPenalty: 0.125}
+	m := RevenueModel{GiBPerVCPU: 4, CXLDiscount: 0.2}
 	if m.StrandedFrac() != 0 || m.RecoveredRevenueFrac() != 0 {
 		t.Fatal("1:4 provisioning strands nothing")
 	}
@@ -86,7 +14,6 @@ func TestValidationPanics(t *testing.T) {
 		{GiBPerVCPU: 0},
 		{GiBPerVCPU: 5},
 		{GiBPerVCPU: 3, CXLDiscount: 1.0},
-		{GiBPerVCPU: 3, CXLPerfPenalty: 1.0},
 	}
 	for i, m := range bad {
 		func() {

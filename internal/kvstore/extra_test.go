@@ -8,54 +8,6 @@ import (
 	"cxlsim/internal/workload"
 )
 
-// TestLatencyCDFShape validates the data behind Fig. 5(c)/Fig. 8(a):
-// CDFs are monotone, end at 1, and the CXL-bound store's read CDF sits to
-// the right of the MMEM-bound one.
-func TestLatencyCDFShape(t *testing.T) {
-	run := func(pick func(*topology.Machine) []*topology.Node) Result {
-		m := topology.Testbed()
-		alloc := vmm.NewAllocator(m)
-		st, err := NewStore(m, alloc, StoreConfig{
-			WorkingSetBytes: 100 << 30, SimKeys: 1 << 14, MaxMemoryFrac: 1,
-			Policy: vmm.Bind{Nodes: pick(m)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Run(st, alloc, RunConfig{Mix: workload.YCSBC, Ops: 10_000, Seed: 5})
-	}
-	mmem := run(func(m *topology.Machine) []*topology.Node { return m.DRAMNodes(0) })
-	cxl := run(func(m *topology.Machine) []*topology.Node { return m.CXLNodes() })
-
-	for _, r := range []Result{mmem, cxl} {
-		cdf := r.ReadLatency.CDF()
-		if len(cdf) < 5 {
-			t.Fatalf("CDF too coarse: %d points", len(cdf))
-		}
-		prev := 0.0
-		for _, p := range cdf {
-			if p.Fraction < prev {
-				t.Fatal("CDF not monotone")
-			}
-			prev = p.Fraction
-		}
-		if prev < 0.999 {
-			t.Fatalf("CDF ends at %v", prev)
-		}
-	}
-	// Right shift: at the MMEM median, the CXL CDF has lower mass.
-	med := mmem.ReadLatency.Percentile(50)
-	cxlMassAtMed := 0.0
-	for _, p := range cxl.ReadLatency.CDF() {
-		if p.Value <= med {
-			cxlMassAtMed = p.Fraction
-		}
-	}
-	if cxlMassAtMed >= 0.5 {
-		t.Fatalf("CXL CDF mass at MMEM median = %.2f, want < 0.5 (right-shifted)", cxlMassAtMed)
-	}
-}
-
 // TestYCSBDInsertsOnSSDConfig: the latest-distribution workload keeps
 // reading fresh inserts; with Flash, fresh inserts are resident so the
 // hit rate stays high despite the churn.

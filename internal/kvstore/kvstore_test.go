@@ -14,20 +14,6 @@ func fastOpts() DeployOptions {
 	return DeployOptions{WorkingSetBytes: 512 << 30, SimKeys: 1 << 16}
 }
 
-func runConf(t *testing.T, name ConfigName, mix workload.YCSBMix, ops int) Result {
-	t.Helper()
-	d, err := Deploy(name, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Warm(mix, 120, 100_000, 7)
-	rc := d.RunConfigFor(mix, 42)
-	rc.Ops = ops
-	res := Run(d.Store, d.Alloc, rc)
-	res.Config = string(name)
-	return res
-}
-
 func TestDeployAllConfigs(t *testing.T) {
 	for _, name := range Table1Configs() {
 		if _, err := Deploy(name, fastOpts()); err != nil {
@@ -76,100 +62,6 @@ func TestDefaultDepthAnchors(t *testing.T) {
 	}
 	if DefaultDepth(256<<30) <= 3 || DefaultDepth(256<<30) >= 40 {
 		t.Fatal("intermediate sizes should interpolate")
-	}
-}
-
-// TestFig5Ordering checks the headline result of §4.1.2 on YCSB-A:
-// MMEM ≥ Hot-Promote > interleaves (3:1 > 1:1 > 1:3) > SSD spill.
-func TestFig5Ordering(t *testing.T) {
-	const ops = 20_000
-	mix := workload.YCSBA
-	tp := map[ConfigName]float64{}
-	for _, name := range Table1Configs() {
-		tp[name] = runConf(t, name, mix, ops).ThroughputOpsPerSec
-	}
-	order := []ConfigName{ConfMMEM, ConfInter31, ConfInter11, ConfInter13}
-	for i := 1; i < len(order); i++ {
-		if tp[order[i]] >= tp[order[i-1]] {
-			t.Errorf("expected %s (%f) > %s (%f)", order[i-1], tp[order[i-1]], order[i], tp[order[i]])
-		}
-	}
-	if tp[ConfMMEMSSD02] >= tp[ConfInter13] {
-		t.Errorf("SSD-0.2 (%f) should trail the worst interleave (%f)", tp[ConfMMEMSSD02], tp[ConfInter13])
-	}
-	if tp[ConfMMEMSSD04] >= tp[ConfMMEMSSD02] {
-		t.Errorf("SSD-0.4 (%f) should trail SSD-0.2 (%f)", tp[ConfMMEMSSD04], tp[ConfMMEMSSD02])
-	}
-	if tp[ConfHotPromote] >= tp[ConfMMEM] {
-		t.Errorf("Hot-Promote (%f) cannot beat pure MMEM (%f)", tp[ConfHotPromote], tp[ConfMMEM])
-	}
-}
-
-// TestFig5Factors checks the slowdown factors the paper reports:
-// interleaving 1.2–1.5×, SSD ≈1.8×, Hot-Promote ≈ MMEM.
-func TestFig5Factors(t *testing.T) {
-	const ops = 20_000
-	mix := workload.YCSBA
-	base := runConf(t, ConfMMEM, mix, ops).ThroughputOpsPerSec
-	slowdown := func(name ConfigName) float64 {
-		return base / runConf(t, name, mix, ops).ThroughputOpsPerSec
-	}
-	if s := slowdown(ConfInter31); s < 1.10 || s > 1.35 {
-		t.Errorf("3:1 slowdown = %.2f, want ≈1.2", s)
-	}
-	if s := slowdown(ConfInter13); s < 1.35 || s > 1.70 {
-		t.Errorf("1:3 slowdown = %.2f, want ≈1.5", s)
-	}
-	if s := slowdown(ConfMMEMSSD04); s < 1.5 || s > 2.2 {
-		t.Errorf("SSD-0.4 slowdown = %.2f, want ≈1.8", s)
-	}
-	if s := slowdown(ConfHotPromote); s > 1.15 {
-		t.Errorf("Hot-Promote slowdown = %.2f, want ≈1 (nearly as well as MMEM)", s)
-	}
-}
-
-// TestFig5TailLatencyOrdering: Fig. 5(b) — tail latency tracks placement.
-func TestFig5TailLatency(t *testing.T) {
-	const ops = 20_000
-	mmem := runConf(t, ConfMMEM, workload.YCSBA, ops)
-	i13 := runConf(t, ConfInter13, workload.YCSBA, ops)
-	ssd := runConf(t, ConfMMEMSSD04, workload.YCSBA, ops)
-	if p99, mmemP99 := i13.Latency.Percentile(99)/1e6, mmem.Latency.Percentile(99)/1e6; p99 <= mmemP99 {
-		t.Errorf("1:3 p99 (%.3fms) should exceed MMEM p99 (%.3fms)", p99, mmemP99)
-	}
-	if ssd.Latency.Max() <= i13.Latency.Max() {
-		t.Errorf("SSD max latency should exceed interleave max (SSD hits add ~100µs)")
-	}
-}
-
-// TestFig8CXLOnly reproduces §4.3: KeyDB bound entirely to CXL vs MMEM on
-// a 100 GB working set — ≈12.5% lower throughput, 9–27% read-latency
-// penalty.
-func TestFig8CXLOnly(t *testing.T) {
-	run := func(nodes []*topology.Node, m *topology.Machine, alloc *vmm.Allocator) Result {
-		st, err := NewStore(m, alloc, StoreConfig{
-			WorkingSetBytes: 100 << 30,
-			SimKeys:         1 << 16,
-			MaxMemoryFrac:   1,
-			Policy:          vmm.Bind{Nodes: nodes},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Run(st, alloc, RunConfig{Mix: workload.YCSBC, Ops: 20_000, Seed: 5})
-	}
-	mMachine := topology.Testbed()
-	mmem := run(mMachine.DRAMNodes(0), mMachine, vmm.NewAllocator(mMachine))
-	cMachine := topology.Testbed()
-	cxl := run(cMachine.CXLNodes(), cMachine, vmm.NewAllocator(cMachine))
-
-	drop := 1 - cxl.ThroughputOpsPerSec/mmem.ThroughputOpsPerSec
-	if drop < 0.08 || drop > 0.18 {
-		t.Errorf("CXL-only throughput drop = %.1f%%, want ≈12.5%%", drop*100)
-	}
-	penalty := cxl.ReadLatency.Percentile(50)/mmem.ReadLatency.Percentile(50) - 1
-	if penalty < 0.05 || penalty > 0.30 {
-		t.Errorf("CXL-only read latency penalty = %.1f%%, want within 9–27%%", penalty*100)
 	}
 }
 

@@ -124,17 +124,3 @@ func fitOne(pts []Sample, peak, idle float64,
 		}
 	}
 }
-
-// ToResource materializes a fitted single-mix model as a Resource usable
-// in any cxlsim path. Mix dependence is flat (the fit saw one mix); fit
-// each mix separately and combine anchors for full-mix resources.
-func (f FitResult) ToResource(name string) *Resource {
-	return &Resource{
-		Name:       name,
-		IdleRead:   f.IdleNs,
-		IdleWrite:  f.IdleNs,
-		Peak:       Flat(f.PeakGBps),
-		Knee:       Flat(f.Knee),
-		QueueScale: f.QueueScale,
-	}
-}

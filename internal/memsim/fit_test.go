@@ -45,28 +45,16 @@ func TestFitRecoversKnownDevice(t *testing.T) {
 	}
 }
 
-func TestFitRecoversPaperDDR(t *testing.T) {
-	// Round-trip the calibrated DDR model through its own curve.
-	truth := NewDDRDomain("ddr")
-	fit, err := Fit(syntheticSamples(truth, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.PeakGBps-67) > 0.7 {
-		t.Errorf("peak = %v, want 67", fit.PeakGBps)
-	}
-	if math.Abs(fit.Knee-0.83) > 0.05 {
-		t.Errorf("knee = %v, want ≈0.83", fit.Knee)
-	}
-}
-
 func TestFittedResourceReproducesCurve(t *testing.T) {
 	truth := NewCXLDevice("cxl")
 	fit, err := Fit(syntheticSamples(truth, 120))
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := fit.ToResource("refit")
+	re := &Resource{
+		Name: "refit", IdleRead: fit.IdleNs, IdleWrite: fit.IdleNs,
+		Peak: Flat(fit.PeakGBps), Knee: Flat(fit.Knee), QueueScale: fit.QueueScale,
+	}
 	for _, u := range []float64{0.1, 0.5, 0.85, 0.95} {
 		want := truth.latencyAt(u, ReadOnly)
 		got := re.latencyAt(u, ReadOnly)
@@ -91,11 +79,11 @@ func TestFitFromMLCSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(fit.IdleNs-97)/97 > 0.1 {
-		t.Errorf("fitted idle = %v, want ≈97", fit.IdleNs)
+	if idle := path.IdleLatency(ReadOnly); math.Abs(fit.IdleNs-idle)/idle > 0.1 {
+		t.Errorf("fitted idle = %v, want ≈%v", fit.IdleNs, idle)
 	}
-	if math.Abs(fit.PeakGBps-67)/67 > 0.05 {
-		t.Errorf("fitted peak = %v, want ≈67", fit.PeakGBps)
+	if peak := path.PeakBandwidth(ReadOnly); math.Abs(fit.PeakGBps-peak)/peak > 0.05 {
+		t.Errorf("fitted peak = %v, want ≈%v", fit.PeakGBps, peak)
 	}
 }
 

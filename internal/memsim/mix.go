@@ -65,14 +65,6 @@ var (
 	WriteOnly = Mix{ReadFrac: 0}
 )
 
-// RW builds a mix from an r:w ratio, e.g. RW(2,1) for the paper's "2:1".
-func RW(r, w int) Mix {
-	if r < 0 || w < 0 || r+w == 0 {
-		panic(fmt.Sprintf("memsim: invalid read:write ratio %d:%d", r, w))
-	}
-	return Mix{ReadFrac: float64(r) / float64(r+w)}
-}
-
 // WithPattern returns a copy of the mix with the given pattern.
 func (m Mix) WithPattern(p Pattern) Mix {
 	m.Pattern = p

@@ -51,14 +51,6 @@ type FlowResult struct {
 	Latency  float64 // loaded per-access latency, ns (placement-weighted)
 }
 
-// OpsPerSec converts a FlowResult to an operation rate given bytes/op.
-func (fr FlowResult) OpsPerSec(bytesPerOp float64) float64 {
-	if bytesPerOp <= 0 {
-		return 0
-	}
-	return fr.Achieved / bytesPerOp * 1e9
-}
-
 // Utilization is a per-resource capacity-fraction snapshot after a solve;
 // obs.InstrumentMemsim exports it as gauges.
 type Utilization map[*Resource]float64

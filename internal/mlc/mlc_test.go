@@ -1,7 +1,6 @@
 package mlc
 
 import (
-	"math"
 	"testing"
 
 	"cxlsim/internal/memsim"
@@ -16,95 +15,6 @@ func paths(t *testing.T) (local, remote, cxl, cxlr *memsim.Path) {
 	cxl = m.PathFrom(0, m.CXLNodes()[0])
 	cxlr = m.PathFrom(1, m.CXLNodes()[0])
 	return
-}
-
-func TestFig3aMMEMReadOnly(t *testing.T) {
-	local, _, _, _ := paths(t)
-	c := LoadedLatency(local, memsim.ReadOnly, DefaultOptions())
-	if idle := c.IdleLatency(); math.Abs(idle-97)/97 > 0.1 {
-		t.Errorf("MMEM idle latency = %.1f, want ≈97", idle)
-	}
-	if peak := c.PeakBandwidth(); math.Abs(peak-67)/67 > 0.02 {
-		t.Errorf("MMEM read peak = %.1f, want ≈67", peak)
-	}
-	// §3.2: latency starts to significantly increase at 75–83% of
-	// bandwidth utilization.
-	if knee := c.KneeUtilization(); knee < 0.70 || knee > 0.90 {
-		t.Errorf("MMEM knee at %.2f of peak, want within [0.70,0.90]", knee)
-	}
-}
-
-func TestFig3aWriteBandwidthDip(t *testing.T) {
-	local, _, _, _ := paths(t)
-	ro := LoadedLatency(local, memsim.ReadOnly, DefaultOptions())
-	wo := LoadedLatency(local, memsim.WriteOnly, DefaultOptions())
-	if wo.PeakBandwidth() >= ro.PeakBandwidth() {
-		t.Fatal("write-only peak must be below read-only peak")
-	}
-	if math.Abs(wo.PeakBandwidth()-54.6)/54.6 > 0.02 {
-		t.Errorf("write-only peak = %.1f, want ≈54.6", wo.PeakBandwidth())
-	}
-}
-
-func TestFig3cCXLCurve(t *testing.T) {
-	_, _, cxl, _ := paths(t)
-	c := LoadedLatency(cxl, memsim.Mix2to1, DefaultOptions())
-	if idle := c.IdleLatency(); math.Abs(idle-250.42)/250.42 > 0.1 {
-		t.Errorf("CXL idle = %.1f, want ≈250.42 (loaded at first point may add a little)", idle)
-	}
-	if peak := c.PeakBandwidth(); math.Abs(peak-56.7)/56.7 > 0.02 {
-		t.Errorf("CXL 2:1 peak = %.1f, want ≈56.7", peak)
-	}
-}
-
-func TestFig3dRemoteCXLHalvedBandwidth(t *testing.T) {
-	_, remote, cxl, cxlr := paths(t)
-	rc := LoadedLatency(cxlr, memsim.Mix2to1, DefaultOptions())
-	if peak := rc.PeakBandwidth(); math.Abs(peak-20.4)/20.4 > 0.05 {
-		t.Errorf("remote CXL peak = %.1f, want ≈20.4", peak)
-	}
-	// The 485 ns idle anchor is a read measurement; check the read-only sweep.
-	roc := LoadedLatency(cxlr, memsim.ReadOnly, DefaultOptions())
-	if idle := roc.IdleLatency(); math.Abs(idle-485)/485 > 0.1 {
-		t.Errorf("remote CXL read idle = %.1f, want ≈485", idle)
-	}
-	// Much more severe drop than remote DDR (§3.2).
-	rd := LoadedLatency(remote, memsim.Mix2to1, DefaultOptions())
-	lc := LoadedLatency(cxl, memsim.Mix2to1, DefaultOptions())
-	remoteDDRDrop := rd.PeakBandwidth() / LoadedLatency(paths3(t), memsim.Mix2to1, DefaultOptions()).PeakBandwidth()
-	remoteCXLDrop := rc.PeakBandwidth() / lc.PeakBandwidth()
-	if remoteCXLDrop >= remoteDDRDrop {
-		t.Errorf("remote CXL drop (%.2f) should be more severe than remote DDR drop (%.2f)",
-			remoteCXLDrop, remoteDDRDrop)
-	}
-}
-
-func paths3(t *testing.T) *memsim.Path {
-	local, _, _, _ := paths(t)
-	return local
-}
-
-func TestFig4KneeShiftsLeftWithWrites(t *testing.T) {
-	local, _, _, _ := paths(t)
-	ro := LoadedLatency(local, memsim.ReadOnly, DefaultOptions())
-	wo := LoadedLatency(local, memsim.WriteOnly, DefaultOptions())
-	if wo.KneeUtilization() >= ro.KneeUtilization() {
-		t.Errorf("knee should shift left with writes: read %.2f vs write %.2f",
-			ro.KneeUtilization(), wo.KneeUtilization())
-	}
-}
-
-func TestFig4RandomVsSequentialNeutral(t *testing.T) {
-	// Fig. 4(g,h): no significant performance disparity.
-	local, _, _, _ := paths(t)
-	seq := LoadedLatency(local, memsim.ReadOnly, DefaultOptions())
-	rnd := LoadedLatency(local, memsim.ReadOnly.WithPattern(memsim.Random), DefaultOptions())
-	if math.Abs(seq.PeakBandwidth()-rnd.PeakBandwidth())/seq.PeakBandwidth() > 0.05 {
-		t.Error("random vs sequential peak bandwidth differs >5%")
-	}
-	if rnd.IdleLatency() > seq.IdleLatency()*1.05 {
-		t.Error("random idle latency penalty should be ≤5%")
-	}
 }
 
 func TestCurveMonotoneLatency(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"cxlsim/internal/memsim"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -82,7 +84,7 @@ func TestAllocEdgeCases(t *testing.T) {
 
 func TestPooledDeviceLatencyIncludesSwitch(t *testing.T) {
 	pooled := NewDevice("mld0", 1<<30)
-	if pooled.Resource().IdleRead <= 250.42 {
+	if pooled.Resource().IdleRead <= memsim.NewCXLDevice("cxl").IdleRead {
 		t.Fatal("pooled device should add a switch hop over direct-attach CXL")
 	}
 	if pooled.Free() != 1<<30 {

@@ -50,14 +50,6 @@ type Allocation struct {
 	LatencyNs   float64
 }
 
-// ThrottledFrac reports how much of the tenant's demand was denied.
-func (a Allocation) ThrottledFrac() float64 {
-	if a.Tenant.DemandGBps == 0 {
-		return 0
-	}
-	return 1 - a.GrantedGBps/a.Tenant.DemandGBps
-}
-
 // Regulator throttles best-effort traffic to keep every shared resource
 // at or below TargetUtil (a fraction of its mix-specific peak; set it at
 // or under the device knee to keep latency flat).

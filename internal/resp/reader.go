@@ -26,11 +26,6 @@ func NewReader(r io.Reader, lim Limits) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, size), lim: lim}
 }
 
-// Buffered reports how many parsed-but-unread bytes are waiting — the
-// pipelining signal: a server flushes its reply writer only when no
-// further request bytes are already in hand.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
-
 // ReadCommand returns the next command's arguments. An empty slice with
 // a nil error means an empty line (or "*0") was received — the caller
 // skips it. The returned sub-slices are freshly allocated and remain

@@ -42,13 +42,11 @@ type ShardedEngine struct {
 
 // message is one cross-partition event in flight between epochs.
 type message struct {
-	at      Time
-	src     int // sending logical partition
-	seq     uint64
-	dst     int
-	fn      func(now Time)
-	handler Handler
-	arg     uint64
+	at  Time
+	src int // sending logical partition
+	seq uint64
+	dst int
+	fn  func(now Time)
 }
 
 // NewSharded creates a sharded engine over partitions logical partitions
@@ -115,26 +113,16 @@ func (se *ShardedEngine) Fired() uint64 {
 // current time plus the lookahead — that slack is what lets shards run
 // epochs without observing each other.
 func (se *ShardedEngine) Send(src, dst int, at Time, fn func(now Time)) {
-	se.send(message{at: at, src: src, dst: dst, fn: fn})
-}
-
-// SendHandler is Send through the allocation-free Handler path.
-func (se *ShardedEngine) SendHandler(src, dst int, at Time, h Handler, arg uint64) {
-	se.send(message{at: at, src: src, dst: dst, handler: h, arg: arg})
-}
-
-func (se *ShardedEngine) send(m message) {
-	shard := se.partShard[m.src] // panics on out-of-range src, as intended
-	if m.dst < 0 || m.dst >= len(se.partShard) {
-		panic(fmt.Sprintf("sim: Send to unknown partition %d", m.dst))
+	shard := se.partShard[src] // panics on out-of-range src, as intended
+	if dst < 0 || dst >= len(se.partShard) {
+		panic(fmt.Sprintf("sim: Send to unknown partition %d", dst))
 	}
-	if min := se.engines[shard].Now() + se.lookahead; m.at < min {
+	if min := se.engines[shard].Now() + se.lookahead; at < min {
 		panic(fmt.Sprintf("sim: Send at %v violates lookahead (sender now %v + lookahead %v)",
-			m.at, se.engines[shard].Now(), se.lookahead))
+			at, se.engines[shard].Now(), se.lookahead))
 	}
-	m.seq = se.sendSeq[m.src]
-	se.sendSeq[m.src]++
-	se.outbox[shard] = append(se.outbox[shard], m)
+	se.outbox[shard] = append(se.outbox[shard], message{at: at, src: src, seq: se.sendSeq[src], dst: dst, fn: fn})
+	se.sendSeq[src]++
 }
 
 // Run executes epochs until every shard's timeline drains and no message
@@ -222,12 +210,7 @@ func (se *ShardedEngine) deliver(b Time) {
 		if m.at > b {
 			break
 		}
-		eng := se.engines[se.partShard[m.dst]]
-		if m.handler != nil {
-			eng.AtHandler(m.at, m.handler, m.arg)
-		} else {
-			eng.At(m.at, m.fn)
-		}
+		se.engines[se.partShard[m.dst]].At(m.at, m.fn)
 		n++
 	}
 	se.pending = se.pending[:copy(se.pending, se.pending[n:])]

@@ -32,20 +32,17 @@ func (a *shardActor) step(now Time) {
 	case 0: // closure send
 		dst := a.rng.Intn(len(a.all))
 		a.se.Send(a.id, dst, now+a.look+d, a.all[dst].remote)
-	case 1: // handler send, arg = source id
-		dst := a.rng.Intn(len(a.all))
-		a.se.SendHandler(a.id, dst, now+a.look+d, a.all[dst], uint64(a.id))
+	case 1: // closure send carrying the source id
+		dst, src := a.all[a.rng.Intn(len(a.all))], a.id
+		a.se.Send(a.id, dst.id, now+a.look+d, func(now Time) {
+			fmt.Fprintf(&dst.log, "H %d %.4f\n", src, float64(now))
+		})
 	}
 	a.se.Partition(a.id).At(now+1+d, a.step)
 }
 
 func (a *shardActor) remote(now Time) {
 	fmt.Fprintf(&a.log, "R %.4f\n", float64(now))
-}
-
-// HandleEvent receives SendHandler deliveries.
-func (a *shardActor) HandleEvent(now Time, arg uint64) {
-	fmt.Fprintf(&a.log, "H %d %.4f\n", arg, float64(now))
 }
 
 // runShardWorkload executes the standard workload and returns a full

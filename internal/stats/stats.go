@@ -1,7 +1,6 @@
 // Package stats provides the measurement primitives the cxlsim
-// experiments report with: streaming summaries (Welford), log-bucketed
-// latency histograms with percentile and CDF extraction, and small
-// helpers for normalizing series the way the paper's figures do.
+// experiments report with: streaming summaries and log-bucketed latency
+// histograms with percentile extraction.
 package stats
 
 import (
@@ -10,11 +9,11 @@ import (
 	"sort"
 )
 
-// Summary accumulates count/mean/variance/min/max in one pass using
-// Welford's algorithm. The zero value is ready to use.
+// Summary accumulates count/mean/min/max in one pass. The zero value is
+// ready to use.
 type Summary struct {
 	n        uint64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -31,12 +30,10 @@ func (s *Summary) Add(x float64) {
 		}
 	}
 	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
-// Merge folds another summary into s (parallel Welford merge).
+// Merge folds another summary into s.
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
 		return
@@ -46,9 +43,7 @@ func (s *Summary) Merge(o Summary) {
 		return
 	}
 	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
+	s.mean += (o.mean - s.mean) * float64(o.n) / float64(n)
 	if o.min < s.min {
 		s.min = o.min
 	}
@@ -69,17 +64,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the population variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // Reset returns the summary to its zero state.
 func (s *Summary) Reset() { *s = Summary{} }
@@ -137,20 +121,6 @@ func (h *Histogram) Add(x float64) {
 	h.sum.Add(x)
 }
 
-// AddN records n identical observations (used when an epoch model knows a
-// batch of ops shared a latency).
-func (h *Histogram) AddN(x float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	if math.IsNaN(x) || x < h.base {
-		h.under += n
-		return
-	}
-	h.counts[h.bucket(x)] += n
-	h.sum.Merge(Summary{n: n, mean: x, min: x, max: x})
-}
-
 // Count reports the number of in-range observations.
 func (h *Histogram) Count() uint64 { return h.sum.Count() }
 
@@ -197,31 +167,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Percentile is Quantile with p in [0,100].
 func (h *Histogram) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64 // observation value (e.g. latency in ns)
-	Fraction float64 // P(X <= Value)
-}
-
-// CDF returns the empirical CDF over non-empty buckets, suitable for the
-// paper's latency-CDF plots (Fig. 5(c), Fig. 8(a)).
-func (h *Histogram) CDF() []CDFPoint {
-	total := h.sum.Count()
-	if total == 0 {
-		return nil
-	}
-	var out []CDFPoint
-	var cum uint64
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		out = append(out, CDFPoint{Value: h.value(b), Fraction: float64(cum) / float64(total)})
-	}
-	return out
-}
 
 // Merge folds another histogram into h. Both must have identical geometry.
 func (h *Histogram) Merge(o *Histogram) {
@@ -402,19 +347,6 @@ func Percentiles(samples []float64, ps ...float64) []float64 {
 			rank = 0
 		}
 		out[i] = sorted[rank]
-	}
-	return out
-}
-
-// Normalize divides each element of xs by base, reproducing the paper's
-// "normalized to MMEM" presentation (Fig. 7(a)). A zero base yields zeros.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
 	}
 	return out
 }

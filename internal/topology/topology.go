@@ -140,11 +140,6 @@ func TestbedSNC() *Machine {
 	return New(Config{Name: "cxlsrv", Sockets: 2, SNC: true, CXLSocket0: 2})
 }
 
-// Baseline builds the third server: identical but without CXL cards.
-func Baseline() *Machine {
-	return New(Config{Name: "basesrv", Sockets: 2, SNC: false, CXLSocket0: 0})
-}
-
 // Node returns the node with the given ID.
 func (m *Machine) Node(id int) *Node {
 	if id < 0 || id >= len(m.Nodes) {

@@ -2,7 +2,6 @@ package vmsched
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -14,28 +13,23 @@ func sierra(cxlGB int) *Server {
 }
 
 func TestPaperScenarioWithoutCXL(t *testing.T) {
-	// 1:3 provisioning sells only 75% of vCPUs at the canonical 1:4.
+	// 1:3 provisioning cannot sell every vCPU at the canonical 1:4; the
+	// sellable share is a claim row (fleet) in the root claims table.
 	s := NewScheduler(sierra(0))
 	rejected := s.PackAll(StandardInstances(1152/8, 8))
 	r := s.Report(0.2)
-	if got := r.SellableFrac(); math.Abs(got-0.75) > 0.01 {
-		t.Fatalf("sellable fraction = %.3f, want 0.75", got)
-	}
 	if len(rejected) == 0 {
 		t.Fatal("memory-limited server must reject instances")
 	}
 	if r.SoldCXL != 0 {
 		t.Fatal("no CXL on this server")
 	}
-	if r.Stranded != 1152/4 {
-		t.Fatalf("stranded = %d, want %d", r.Stranded, 1152/4)
-	}
 }
 
 func TestPaperScenarioWithCXL(t *testing.T) {
-	// Adding a CXL expander that covers the gap sells everything; with
-	// the 20% discount, recovered revenue matches the closed-form §4.3.2
-	// analysis (≈26.7% over the non-CXL baseline).
+	// Adding a CXL expander that covers the gap sells everything, at a
+	// revenue gain over the non-CXL baseline even with the 20% discount;
+	// the gain's value is a claim row (fleet) in the root claims table.
 	without := NewScheduler(sierra(0))
 	without.PackAll(StandardInstances(1152/8, 8))
 	base := without.Report(0.2).RevenueUnits
@@ -45,13 +39,8 @@ func TestPaperScenarioWithCXL(t *testing.T) {
 	if len(rejected) != 0 {
 		t.Fatalf("CXL-expanded server rejected %d instances", len(rejected))
 	}
-	r := with.Report(0.2)
-	if r.SellableFrac() != 1 {
-		t.Fatalf("sellable = %.3f, want 1", r.SellableFrac())
-	}
-	gain := r.RevenueUnits/base - 1
-	if math.Abs(gain-0.2667) > 0.005 {
-		t.Fatalf("revenue gain = %.4f, want ≈0.2667 (§4.3.2)", gain)
+	if r := with.Report(0.2); r.RevenueUnits <= base {
+		t.Fatalf("revenue with CXL %v, want above the non-CXL %v", r.RevenueUnits, base)
 	}
 }
 

@@ -201,22 +201,20 @@ func TestYCSBCReadOnly(t *testing.T) {
 }
 
 func TestYCSBDInsertGrows(t *testing.T) {
-	y := NewYCSB(YCSBD, 1000, 23)
-	start := y.Records()
+	const start = 1000
+	y := NewYCSB(YCSBD, start, 23)
 	inserts := 0
 	for i := 0; i < 10000; i++ {
 		if op := y.Next(); op.Kind == OpInsert {
-			inserts++
-			if op.Key < start {
-				t.Fatalf("insert key %d below initial space %d", op.Key, start)
+			// Each insert appends one fresh key past the current records.
+			if want := uint64(start + inserts); op.Key != want {
+				t.Fatalf("insert %d key = %d, want %d", inserts, op.Key, want)
 			}
+			inserts++
 		}
 	}
 	if inserts == 0 {
 		t.Fatal("YCSB-D produced no inserts")
-	}
-	if y.Records() != start+uint64(inserts) {
-		t.Fatalf("records = %d, want %d", y.Records(), start+uint64(inserts))
 	}
 }
 

@@ -88,9 +88,6 @@ func NewYCSB(mix YCSBMix, n uint64, seed int64) *YCSB {
 // Mix returns the workload definition.
 func (y *YCSB) Mix() YCSBMix { return y.mix }
 
-// Records returns the current record count (grows under inserts).
-func (y *YCSB) Records() uint64 { return y.keys.N() }
-
 // Next produces the next operation.
 func (y *YCSB) Next() Op {
 	r := y.rng.Float64()
