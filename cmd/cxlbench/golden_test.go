@@ -18,7 +18,11 @@ var update = flag.Bool("update", false, "rewrite the committed golden outputs")
 const (
 	golden         = "testdata/quick-all.golden"
 	windowedGolden = "testdata/fig8-slo.golden"
+	faultedGolden  = "testdata/fig5-faults.golden"
 )
+
+// faultedFig5Args runs Fig. 5's grid with its degraded pass.
+var faultedFig5Args = []string{"-quick", "-faults", "../../examples/degrade-cxl.json", "fig5"}
 
 // pinnedPlatform skips where the goldens cannot be byte-exact: they are
 // recorded on linux/amd64, and Go may fuse multiply-add into FMA
@@ -53,8 +57,9 @@ func runStdout(t *testing.T, bin string, args ...string) []byte {
 }
 
 // TestGolden pins `cxlbench -quick all` stdout, byte for byte, at
-// -parallel 1 and at the default parallelism, and the windowed fig8
-// stdout plus the SHA-256 of its -slo/-report HTML. Regenerate after an
+// -parallel 1 and at the default parallelism, the windowed fig8 stdout
+// plus the SHA-256 of its -slo/-report HTML, and the faulted fig5
+// stdout. Regenerate after an
 // intentional output change with
 //
 //	go test ./cmd/cxlbench -run TestGolden -update
@@ -66,6 +71,7 @@ func TestGolden(t *testing.T) {
 		for path, out := range map[string][]byte{
 			golden:         runStdout(t, bin, "-quick", "all"),
 			windowedGolden: windowedFig8(t, bin),
+			faultedGolden:  runStdout(t, bin, faultedFig5Args...),
 		} {
 			if err := os.WriteFile(path, out, 0o644); err != nil {
 				t.Fatal(err)
@@ -84,6 +90,13 @@ func TestGolden(t *testing.T) {
 	}
 	if got := windowedFig8(t, bin); !bytes.Equal(got, wantWindowed) {
 		t.Errorf("windowed fig8 differs from %s:\n%s", windowedGolden, firstDiff(got, wantWindowed))
+	}
+	wantFaulted, err := os.ReadFile(faultedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runStdout(t, bin, faultedFig5Args...); !bytes.Equal(got, wantFaulted) {
+		t.Errorf("cxlbench %v differs from %s:\n%s", faultedFig5Args, faultedGolden, firstDiff(got, wantFaulted))
 	}
 	for _, args := range [][]string{
 		{"-quick", "-parallel", "1", "all"},
