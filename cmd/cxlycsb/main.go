@@ -145,6 +145,8 @@ func main() {
 		fatal("%v", err)
 	}
 	d.Warm(mix, 120, 100_000, *seed)
+	// The degraded pass starts from the same warm state.
+	warm := d.SaveWarm()
 	rc := d.RunConfigFor(mix, *seed)
 	rc.Ops = *ops
 
@@ -177,7 +179,7 @@ func main() {
 		if windowed {
 			dpass = report.NewPass(windowNs, sloSpec)
 		}
-		fr, dstore, err := runDegraded(*config, dopts, mix, *seed, *ops, schedule, dpass)
+		fr, dstore, err := runDegraded(*config, dopts, warm, mix, *seed, *ops, schedule, dpass)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -368,16 +370,16 @@ func delta(degraded, healthy float64) float64 {
 }
 
 // runDegraded replays the fault schedule against a fresh deployment of
-// the same configuration, warmed identically to the healthy pass, with
+// the same configuration, loaded with the healthy pass's warm state, with
 // its own observability pass (nil: none) so the two passes never share
 // state.
-func runDegraded(config string, opts kvstore.DeployOptions, mix workload.YCSBMix, seed int64, ops int,
+func runDegraded(config string, opts kvstore.DeployOptions, warm *kvstore.WarmState, mix workload.YCSBMix, seed int64, ops int,
 	s *fault.Schedule, pass *report.Pass) (kvstore.Result, *kvstore.Store, error) {
 	d, err := kvstore.Deploy(kvstore.ConfigName(config), opts)
 	if err != nil {
 		return kvstore.Result{}, nil, err
 	}
-	d.Warm(mix, 120, 100_000, seed)
+	d.LoadWarm(warm)
 	rc, err := d.RunConfigWithFaults(mix, seed, s)
 	if err != nil {
 		return kvstore.Result{}, nil, err

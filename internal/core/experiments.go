@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cxlsim/internal/analytics"
@@ -130,19 +131,31 @@ func Fig5(opt Options) (*Report, error) {
 		warmEpochs = 40
 	}
 	// Every (config, mix) cell is an independent deployment on its own
-	// simulated machine; run them all in parallel, index-aligned, then
-	// assemble rows serially so baselines and row order match the serial
-	// loop exactly.
+	// simulated machine, healthy and — with a fault schedule — again on a
+	// fresh machine with the schedule replaying mid-run (reported as
+	// extra delta columns). Cells run in parallel, index-aligned, and rows
+	// assemble serially so baselines and row order match the serial loop
+	// exactly.
 	configs := kvstore.Table1Configs()
-	results := make([]kvstore.Result, len(configs)*len(mixes))
-	errs := make([]error, len(results))
-	runCell := func(i int, faults *fault.Schedule) (kvstore.Result, error) {
-		conf, mix := configs[i/len(mixes)], mixes[i%len(mixes)]
-		d, err := kvstore.Deploy(conf, kvstore.DeployOptions{SimKeys: 1 << 16})
+	grid := len(configs) * len(mixes)
+	cells := grid
+	if opt.Faults != nil {
+		rep.Headers = append(rep.Headers, "faulted kops/s", "Δ%")
+		cells *= 2
+	}
+	results := make([]kvstore.Result, cells)
+	deployOpts := kvstore.DeployOptions{SimKeys: 1 << 16}
+	runCell := func(j int, warm *kvstore.WarmState) (kvstore.Result, error) {
+		conf, mix := configs[j%grid/len(mixes)], mixes[j%len(mixes)]
+		var faults *fault.Schedule
+		if j >= grid {
+			faults = opt.Faults
+		}
+		d, err := kvstore.Deploy(conf, deployOpts)
 		if err != nil {
 			return kvstore.Result{}, err
 		}
-		d.Warm(mix, warmEpochs, 100_000, opt.seed())
+		d.LoadWarm(warm)
 		rc, err := d.RunConfigWithFaults(mix, opt.seed(), faults)
 		if err != nil {
 			return kvstore.Result{}, err
@@ -150,33 +163,61 @@ func Fig5(opt Options) (*Report, error) {
 		rc.Ops = ops
 		return kvstore.Run(d.Store, d.Alloc, rc), nil
 	}
-	par.ForEach(len(results), opt.Parallel, func(i int) {
-		results[i], errs[i] = runCell(i, nil)
-	})
-	// Degraded pass: the same grid on fresh machines with the schedule
-	// replaying mid-run, reported as extra delta columns.
-	var faulted []kvstore.Result
-	if opt.Faults != nil {
-		rep.Headers = append(rep.Headers, "faulted kops/s", "Δ%")
-		faulted = make([]kvstore.Result, len(results))
-		ferrs := make([]error, len(results))
-		par.ForEach(len(results), opt.Parallel, func(i int) {
-			faulted[i], ferrs[i] = runCell(i, opt.Faults)
-		})
-		for _, err := range ferrs {
-			if err != nil {
-				return nil, err
-			}
+	// Only the Hot-Promote cells warm. Cells whose mixes share a WarmKey
+	// warm identically, so each distinct warm-up runs once and every
+	// Hot-Promote cell, healthy or faulted, loads its saved state. The
+	// warm-ups start first in the same fan-out as the daemon-less cells;
+	// the Hot-Promote cells run after it.
+	var warmMixes []workload.YCSBMix  // one mix per distinct WarmKey
+	warmOf := make([]int, len(mixes)) // mix index → warmMixes index
+	for mi, mix := range mixes {
+		k := slices.IndexFunc(warmMixes, func(w workload.YCSBMix) bool { return kvstore.WarmKey(w) == kvstore.WarmKey(mix) })
+		if k < 0 {
+			k = len(warmMixes)
+			warmMixes = append(warmMixes, mix)
 		}
+		warmOf[mi] = k
+	}
+	var static, tiered []int
+	for j := 0; j < cells; j++ {
+		if configs[j%grid/len(mixes)] == kvstore.ConfHotPromote {
+			tiered = append(tiered, j)
+		} else {
+			static = append(static, j)
+		}
+	}
+	warm := make([]*kvstore.WarmState, len(warmMixes))
+	err := par.ForEachErr(len(warm)+len(static), opt.Parallel, func(k int) error {
+		if k >= len(warm) {
+			var err error
+			results[static[k-len(warm)]], err = runCell(static[k-len(warm)], nil)
+			return err
+		}
+		d, err := kvstore.Deploy(kvstore.ConfHotPromote, deployOpts)
+		if err != nil {
+			return err
+		}
+		d.Warm(warmMixes[k], warmEpochs, 100_000, opt.seed())
+		warm[k] = d.SaveWarm()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = par.ForEachErr(len(tiered), opt.Parallel, func(k int) error {
+		j := tiered[k]
+		var err error
+		results[j], err = runCell(j, warm[warmOf[j%len(mixes)]])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	base := map[string]float64{}
 	var timeouts, retries, failed uint64
 	for ci, conf := range configs {
 		for mi, mix := range mixes {
 			i := ci*len(mixes) + mi
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
 			res := results[i]
 			if conf == kvstore.ConfMMEM {
 				base[mix.Name] = res.ThroughputOpsPerSec
@@ -191,8 +232,8 @@ func Fig5(opt Options) (*Report, error) {
 				fmt.Sprintf("%.0f", res.Latency.Percentile(50)/1e3),
 				fmt.Sprintf("%.0f", res.Latency.Percentile(99)/1e3),
 				fmt.Sprintf("%.3f", res.HitRate)}
-			if faulted != nil {
-				f := faulted[i]
+			if opt.Faults != nil {
+				f := results[grid+i]
 				row = append(row,
 					fmt.Sprintf("%.0f", f.ThroughputOpsPerSec/1e3),
 					fmt.Sprintf("%+.1f%%", (f.ThroughputOpsPerSec/res.ThroughputOpsPerSec-1)*100))
@@ -204,7 +245,7 @@ func Fig5(opt Options) (*Report, error) {
 		}
 	}
 	rep.AddNote("paper: interleave 1.2–1.5x slower, SSD ≈1.8x, Hot-Promote ≈ MMEM (§4.1.2)")
-	if faulted != nil {
+	if opt.Faults != nil {
 		rep.AddNote("fault replay: %d timeouts, %d retries, %d failed ops across the grid — extrapolation beyond the paper's healthy-hardware data", timeouts, retries, failed)
 	}
 	return rep, nil

@@ -100,7 +100,7 @@ func TestDurableBrownoutShedsAndCatchesUp(t *testing.T) {
 	d := durableDeploy(t, t.TempDir())
 	s := d.Store
 	write := func(k uint64) {
-		s.ServiceTime(workload.Op{Kind: workload.OpUpdate, Key: k}, 0)
+		s.ServiceTime(workload.Op{Kind: workload.OpUpdate, Key: k})
 	}
 	for k := uint64(0); k < 10; k++ {
 		write(k)
@@ -148,7 +148,7 @@ func TestDurableBrownoutFromSchedule(t *testing.T) {
 		d.Store.SetSpillHealthy(!inj.TargetDegraded("/ssd"))
 	})
 	s := d.Store
-	write := func(k uint64) { s.ServiceTime(workload.Op{Kind: workload.OpUpdate, Key: k}, 0) }
+	write := func(k uint64) { s.ServiceTime(workload.Op{Kind: workload.OpUpdate, Key: k}) }
 
 	inj.ApplyAll()
 	write(1)

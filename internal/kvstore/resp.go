@@ -117,7 +117,7 @@ func (b *RESPBackend) simKey(key []byte) uint64 {
 // advances the virtual clock, and resolves an epoch when due. Caller
 // holds b.mu.
 func (b *RESPBackend) charge(cmd string, kind workload.OpKind, key []byte) {
-	t := b.store.ServiceTime(workload.Op{Kind: kind, Key: b.simKey(key)}, b.now)
+	t := b.store.ServiceTime(workload.Op{Kind: kind, Key: b.simKey(key)})
 	b.now += sim.Time(t)
 	if b.now-b.lastEpoch >= epochNs {
 		b.store.EpochFlows(float64(b.now - b.lastEpoch))

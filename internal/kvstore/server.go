@@ -488,7 +488,7 @@ func (rl *runLoop) dispatch(now sim.Time) {
 		}
 		rl.advanceHead()
 		rl.free--
-		svc := rl.store.ServiceTime(p.op, now)
+		svc := rl.store.ServiceTime(p.op)
 		slot := rl.slots[len(rl.slots)-1]
 		rl.slots = rl.slots[:len(rl.slots)-1]
 		if rl.timeoutNs > 0 && svc > rl.timeoutNs {
@@ -630,6 +630,8 @@ type Deployment struct {
 	Store   *Store
 	Daemon  tiering.Daemon
 	Tiers   tiering.Tiers
+
+	warmDraws int // key-sampling RNG draws taken by Warm
 }
 
 // DeployOptions sizes a deployment.
@@ -757,17 +759,79 @@ func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed 
 	}
 	gen := workload.NewYCSB(mix, uint64(d.Store.cfg.SimKeys), seed)
 	space := d.Store.Space()
+	// Each epoch's draws per page, applied in page order by TouchCounts.
+	counts := make([]uint32, len(space.Pages))
+	// Same heat weight per op as ServiceTime, so warm-phase heat and
+	// measurement-phase heat are on one scale.
+	weight := d.Store.depth + valueLines
 	var now sim.Time
 	for e := 0; e < epochs; e++ {
 		now += epochNs
-		// Same heat weight per op as ServiceTime, so warm-phase heat and
-		// measurement-phase heat are on one scale.
-		weight := d.Store.depth + valueLines
 		for i := 0; i < drawsPerEpoch; i++ {
 			op := gen.Next()
-			space.Touch(d.Store.pageOf(op.Key%uint64(d.Store.cfg.SimKeys)), weight, now)
+			counts[d.Store.pageOf(op.Key%uint64(d.Store.cfg.SimKeys))]++
 		}
+		space.TouchCounts(counts, weight)
 		d.Daemon.Tick(now, space, d.Alloc)
 		space.DecayHeat(0.5)
 	}
+	d.warmDraws += epochs * drawsPerEpoch
+}
+
+// WarmKey names the warm-up Warm drives for mix, so callers can warm
+// once and share the result (SaveWarm/LoadWarm) across every mix with the
+// same key. Warm keeps only the key stream: each op draws exactly one key
+// unless it is an insert, the key generator is seeded independently of
+// the op-kind draws, and the op kinds are thrown away. So two mixes with
+// no inserts and the same Distribution warm bit-identically; a mix with
+// inserts grows the keyspace and is its own key. Sharing also requires
+// the same configuration, DeployOptions, epochs, draws and seed.
+func WarmKey(mix workload.YCSBMix) workload.YCSBMix {
+	if mix.Insert != 0 {
+		return mix
+	}
+	return workload.YCSBMix{Distribution: mix.Distribution}
+}
+
+// WarmState is everything Warm changes in a deployment, in a form that
+// holds no pointer into it: the heap's placement and heat, the
+// allocator's per-node usage, the daemon's auto-adjusted threshold (its
+// only state that outlives a tick), and how many draws Warm took from the
+// store's key-sampling RNG.
+type WarmState struct {
+	placement *vmm.Placement
+	used      map[int]uint64
+	threshold float64
+	draws     int
+}
+
+// SaveWarm captures the deployment's warm state; call it after Warm and
+// before Run. Nil for daemon-less deployments, which Warm leaves alone.
+func (d *Deployment) SaveWarm() *WarmState {
+	if d.Daemon == nil {
+		return nil
+	}
+	return &WarmState{
+		placement: d.Store.Space().SavePlacement(),
+		used:      d.Alloc.Usage(),
+		threshold: d.Daemon.(*tiering.HotPromote).Threshold,
+		draws:     d.warmDraws,
+	}
+}
+
+// LoadWarm puts a fresh deployment of the same configuration and options
+// into the state w was saved from, exactly as if it had run the same
+// Warm. No-op for a nil w.
+func (d *Deployment) LoadWarm(w *WarmState) {
+	if w == nil {
+		return
+	}
+	d.Store.Space().LoadPlacement(w.placement, d.Machine)
+	d.Alloc.SetUsage(w.used)
+	d.Daemon.(*tiering.HotPromote).Threshold = w.threshold
+	// math/rand sources cannot be copied: replay the draws instead.
+	for i := 0; i < w.draws; i++ {
+		d.Store.rng.Float64()
+	}
+	d.warmDraws = w.draws
 }

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"cxlsim/internal/memsim"
-	"cxlsim/internal/sim"
 	"cxlsim/internal/topology"
 	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
@@ -300,7 +299,7 @@ func (s *Store) HitRate() float64 {
 // ServiceTime computes one op's server-side service time (ns) under the
 // current epoch latencies, charges its traffic to the epoch accumulators,
 // and updates cache + heat state.
-func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
+func (s *Store) ServiceTime(op workload.Op) float64 {
 	key := op.Key % uint64(s.cfg.SimKeys)
 	page := s.pageOf(key)
 	node := s.space.Pages[page].Node
@@ -316,7 +315,7 @@ func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
 	// and Fig. 8(a) their spread.
 	memNs := s.depth*lat + valueLines*lat/streamMLP
 	t := (softwareNs + memNs) * math.Exp(s.rng.NormFloat64()*serviceSigma)
-	s.space.Touch(page, s.depth+valueLines, now)
+	s.space.Touch(page, s.depth+valueLines)
 
 	read := op.Kind == workload.OpRead || op.Kind == workload.OpScan
 	lineBytes := s.depth*64 + valueBytes

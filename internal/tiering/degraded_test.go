@@ -60,7 +60,7 @@ func TestHotPromoteDemotionFallsBackToAlternateTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := pages; i < 2*pages; i++ {
-		space.Touch(i, 100, 1)
+		space.Touch(i, 100)
 	}
 
 	d := &HotPromote{

@@ -1,6 +1,7 @@
 package tiering
 
 import (
+	"slices"
 	"testing"
 
 	"cxlsim/internal/sim"
@@ -50,7 +51,7 @@ func (h *harness) epoch(gen workload.Generator, accesses int, d Daemon) Report {
 	h.now += sim.Millisecond
 	for i := 0; i < accesses; i++ {
 		page := int(gen.Next()) % len(h.space.Pages)
-		h.space.Touch(page, 1, h.now)
+		h.space.Touch(page, 1)
 	}
 	rep := d.Tick(h.now, h.space, h.alloc)
 	h.space.DecayHeat(0.5)
@@ -60,7 +61,7 @@ func (h *harness) epoch(gen workload.Generator, accesses int, d Daemon) Report {
 func (h *harness) fastHeatShare() float64 {
 	share := 0.0
 	for n, f := range h.space.HeatShare() {
-		if h.tiers.isFast(n) {
+		if slices.Contains(h.tiers.Fast, n) {
 			share += f
 		}
 	}
@@ -149,8 +150,8 @@ func TestHotPromoteDemotesToMakeRoom(t *testing.T) {
 	// Heat up only CXL pages so every promotion needs a demotion (the
 	// fast tier is exactly full: capacity == half the dataset).
 	for i := range h.space.Pages {
-		if h.tiers.isSlow(h.space.Pages[i].Node) {
-			h.space.Touch(i, 100, 1)
+		if slices.Contains(h.tiers.Slow, h.space.Pages[i].Node) {
+			h.space.Touch(i, 100)
 		}
 	}
 	d := &HotPromote{Tiers: h.tiers, RateLimitBytes: 64 * vmm.DefaultPageSize}

@@ -54,7 +54,7 @@ func TestLazyDecayMatchesEagerSweep(t *testing.T) {
 		for j := 0; j < pages/4; j++ {
 			pg := rng.Intn(pages)
 			w := float64(1 + rng.Intn(8))
-			s.Touch(pg, w, 0)
+			s.Touch(pg, w)
 			ref.touch(pg, w)
 			step++
 		}
@@ -101,7 +101,7 @@ func TestLazyDecayBitIdenticalSingleFactor(t *testing.T) {
 		for j := 0; j < 16; j++ {
 			pg := rng.Intn(pages)
 			w := rng.Float64() * 10
-			s.Touch(pg, w, 0)
+			s.Touch(pg, w)
 			ref.touch(pg, w)
 		}
 		s.DecayHeat(0.5)
@@ -123,7 +123,7 @@ func TestLateAllocatedPagesSkipPriorEpochs(t *testing.T) {
 	if err := a.Alloc(s, 4*s.PageSize, Bind{Nodes: []*topology.Node{m.DRAMNodes(0)[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	s.Touch(0, 8, 0)
+	s.Touch(0, 8)
 	s.DecayHeat(0.5)
 	s.DecayHeat(0.5)
 
@@ -131,11 +131,100 @@ func TestLateAllocatedPagesSkipPriorEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := len(s.Pages) - 1
-	s.Touch(late, 4, 0)
+	s.Touch(late, 4)
 	if got := s.Heat(late); got != 4 {
 		t.Fatalf("late page heat = %g, want 4 (prior epochs must not apply)", got)
 	}
 	if got := s.Heat(0); got != 2 {
 		t.Fatalf("old page heat = %g, want 2", got)
 	}
+}
+
+// TestTouchCountsMatchesTouch: applying an epoch's per-page counts in
+// page order gives bit-identical heat to touching draw by draw.
+func TestTouchCountsMatchesTouch(t *testing.T) {
+	const pages = 128
+	rng := rand.New(rand.NewSource(5))
+	one, batched := NewSpace(0), NewSpace(0)
+	one.Pages, batched.Pages = make([]Page, pages), make([]Page, pages)
+	counts := make([]uint32, pages)
+	for epoch := 0; epoch < 40; epoch++ {
+		w := 1 + rng.Float64()*50
+		for j := 0; j < 300; j++ {
+			pg := rng.Intn(pages)
+			one.Touch(pg, w)
+			counts[pg]++
+		}
+		batched.TouchCounts(counts, w)
+		one.DecayHeat(0.5)
+		batched.DecayHeat(0.5)
+	}
+	for i := 0; i < pages; i++ {
+		if got, want := batched.Heat(i), one.Heat(i); got != want {
+			t.Fatalf("page %d: batched heat %x, per-touch heat %x", i, got, want)
+		}
+		if counts[i] != 0 {
+			t.Fatalf("TouchCounts left count %d on page %d", counts[i], i)
+		}
+	}
+}
+
+// TestPlacementRoundTrip: a placement saved with pending lazy decay and
+// loaded into a fresh space on another machine reads the same heat and
+// nodes on every page, and stays bit-identical to the source under any
+// further Touch/DecayHeat sequence.
+func TestPlacementRoundTrip(t *testing.T) {
+	m1, m2 := testMachine(), testMachine()
+	a1, a2 := NewAllocator(m1), NewAllocator(m2)
+	src, dst := NewSpace(0), NewSpace(0)
+	il := func(m *topology.Machine) Policy {
+		return InterleaveNM{Top: m.DRAMNodes(0), Low: m.CXLNodes(), N: 1, M: 1}
+	}
+	if err := a1.Alloc(src, 64*src.PageSize, il(m1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Alloc(dst, 64*dst.PageSize, il(m2)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	churn := func(epochs int, spaces ...*Space) {
+		for e := 0; e < epochs; e++ {
+			for j := 0; j < 16; j++ {
+				pg, w := rng.Intn(64), rng.Float64()*10
+				for _, s := range spaces {
+					s.Touch(pg, w)
+				}
+			}
+			for _, s := range spaces {
+				s.DecayHeat(0.5)
+			}
+		}
+	}
+	churn(30, src)
+	// Move a page so the snapshot carries more than the initial layout.
+	if err := a1.Migrate(src, 1, m1.DRAMNodes(0)[0]); err != nil {
+		t.Fatal(err)
+	}
+	dst.LoadPlacement(src.SavePlacement(), m2)
+	a2.SetUsage(a1.Usage())
+
+	compare := func(stage string) {
+		t.Helper()
+		for i := range src.Pages {
+			if got, want := dst.Heat(i), src.Heat(i); got != want {
+				t.Fatalf("%s: page %d heat %x, source %x", stage, i, got, want)
+			}
+			if dst.Pages[i].Node.ID != src.Pages[i].Node.ID || dst.Pages[i].Node != m2.Node(src.Pages[i].Node.ID) {
+				t.Fatalf("%s: page %d on node %d, source on %d", stage, i, dst.Pages[i].Node.ID, src.Pages[i].Node.ID)
+			}
+		}
+		for _, n := range m1.Nodes {
+			if a2.Used(m2.Node(n.ID)) != a1.Used(n) {
+				t.Fatalf("%s: node %d usage %d, source %d", stage, n.ID, a2.Used(m2.Node(n.ID)), a1.Used(n))
+			}
+		}
+	}
+	compare("after load")
+	churn(25, src, dst)
+	compare("after further epochs")
 }

@@ -11,8 +11,8 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"maps"
 
-	"cxlsim/internal/sim"
 	"cxlsim/internal/topology"
 )
 
@@ -30,8 +30,7 @@ var ErrNoCapacity = errors.New("vmm: no capacity on target nodes")
 // full-array sweep was the dominant tiering-epoch cost at production
 // working-set sizes.
 type Page struct {
-	Node       *topology.Node
-	LastAccess sim.Time // time of most recent touch
+	Node *topology.Node
 
 	heat      float64 // decayed access counter, valid as of decayedAt
 	decayedAt uint64  // decay epochs applied to heat so far
@@ -80,14 +79,33 @@ func (s *Space) PageFor(offset uint64) int {
 }
 
 // Touch records accesses to a page: weight is the number of accesses
-// (reads+writes) attributed, now stamps recency. Pending lazy decay is
-// applied before the weight lands, so interleaved Touch/DecayHeat
-// sequences produce bit-identical heat to an eager per-epoch sweep.
-func (s *Space) Touch(page int, weight float64, now sim.Time) {
+// (reads+writes) attributed. Pending lazy decay is applied before the
+// weight lands, so interleaved Touch/DecayHeat sequences produce
+// bit-identical heat to an eager per-epoch sweep.
+func (s *Space) Touch(page int, weight float64) {
 	p := &s.Pages[page]
 	s.syncHeat(p)
 	p.heat += weight
-	p.LastAccess = now
+}
+
+// TouchCounts applies counts[i] touches of weight to page i, in page
+// order, and zeroes counts; len(counts) must equal len(s.Pages). Within
+// one decay epoch touches to different pages commute and each page's own
+// additions keep their order, so this is bit-identical to the same
+// touches made one by one with Touch — at one decay catch-up per page and
+// a sequential walk of the page array instead of a random one.
+func (s *Space) TouchCounts(counts []uint32, weight float64) {
+	for i, n := range counts[:len(s.Pages)] {
+		if n == 0 {
+			continue
+		}
+		p := &s.Pages[i]
+		s.syncHeat(p)
+		for ; n > 0; n-- {
+			p.heat += weight
+		}
+		counts[i] = 0
+	}
 }
 
 // Heat reports a page's decayed access counter (accesses/epoch scale),
@@ -145,6 +163,49 @@ func (s *Space) DecayHeat(factor float64) {
 func (s *Space) FlushHeat() {
 	for i := range s.Pages {
 		s.syncHeat(&s.Pages[i])
+	}
+}
+
+// Placement is a compact copy of a space's page placement and heat: a
+// node ID and a fully decayed heat value per page, plus the space's decay
+// epoch and factor. It holds no node pointers, so one Placement loads
+// into a space on any machine with the same node IDs.
+type Placement struct {
+	nodes       []int32
+	heat        []float64
+	heatEpoch   uint64
+	decayFactor float64
+}
+
+// SavePlacement snapshots the space. It flushes pending lazy decay first:
+// catch-up multiplies once per missed epoch however the epochs are split,
+// so flushing early changes no bit, and every page of the snapshot is
+// current as of the space's decay epoch.
+func (s *Space) SavePlacement() *Placement {
+	s.FlushHeat()
+	pl := &Placement{
+		nodes:       make([]int32, len(s.Pages)),
+		heat:        make([]float64, len(s.Pages)),
+		heatEpoch:   s.heatEpoch,
+		decayFactor: s.decayFactor,
+	}
+	for i := range s.Pages {
+		pl.nodes[i] = int32(s.Pages[i].Node.ID)
+		pl.heat[i] = s.Pages[i].heat
+	}
+	return pl
+}
+
+// LoadPlacement overwrites the space's placement and heat with pl,
+// resolving node IDs on m. The space must already hold as many pages as
+// pl; capacity accounting is the allocator's (see Allocator.SetUsage).
+func (s *Space) LoadPlacement(pl *Placement, m *topology.Machine) {
+	if len(pl.nodes) != len(s.Pages) {
+		panic(fmt.Sprintf("vmm: loading a %d-page placement into a %d-page space", len(pl.nodes), len(s.Pages)))
+	}
+	s.heatEpoch, s.decayFactor = pl.heatEpoch, pl.decayFactor
+	for i := range s.Pages {
+		s.Pages[i] = Page{Node: m.Node(int(pl.nodes[i])), heat: pl.heat[i], decayedAt: pl.heatEpoch}
 	}
 }
 
@@ -230,6 +291,14 @@ func NewAllocator(m *topology.Machine) *Allocator {
 
 // Used reports bytes allocated on a node.
 func (a *Allocator) Used(n *topology.Node) uint64 { return a.used[n.ID] }
+
+// Usage returns a copy of the bytes allocated per node, keyed by node ID.
+func (a *Allocator) Usage() map[int]uint64 { return maps.Clone(a.used) }
+
+// SetUsage replaces the per-node accounting with a copy of used (as
+// returned by Usage, possibly from an allocator over another machine with
+// the same node IDs).
+func (a *Allocator) SetUsage(used map[int]uint64) { a.used = maps.Clone(used) }
 
 // Free reports remaining bytes on a node.
 func (a *Allocator) Free(n *topology.Node) uint64 {

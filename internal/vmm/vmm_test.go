@@ -213,13 +213,10 @@ func TestTouchAndHeat(t *testing.T) {
 	if err := a.Alloc(s, 4*DefaultPageSize, Bind{Nodes: []*topology.Node{m.DRAMNodes(0)[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	s.Touch(0, 10, 100)
-	s.Touch(1, 30, 200)
+	s.Touch(0, 10)
+	s.Touch(1, 30)
 	if s.Heat(0) != 10 || s.Heat(1) != 30 {
 		t.Fatal("heat not accumulated")
-	}
-	if s.Pages[1].LastAccess != 200 {
-		t.Fatal("recency not stamped")
 	}
 	s.DecayHeat(0.5)
 	if s.Heat(0) != 5 || s.Heat(1) != 15 {
@@ -255,7 +252,7 @@ func TestHeatShare(t *testing.T) {
 	// Heat up only DRAM pages.
 	for i := range s.Pages {
 		if s.Pages[i].Node == dram {
-			s.Touch(i, 100, 1)
+			s.Touch(i, 100)
 		}
 	}
 	hs = s.HeatShare()
