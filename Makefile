@@ -23,10 +23,12 @@ race:
 
 # race-fault is the focused race gate over the fault-injection and
 # retry/degradation paths (the packages with fault-transition callbacks
-# and atomic counters). A strict subset of `race`, kept separate so the
-# reliability paths can be iterated on quickly and fail the gate first.
+# and atomic counters) and the group-commit path (spill's SyncThrough and
+# the RESP writer's commit barrier). A strict subset of `race`, kept
+# separate so the reliability paths can be iterated on quickly and fail
+# the gate first.
 race-fault:
-	$(GO) test -race ./internal/fault ./internal/kvstore ./internal/tiering
+	$(GO) test -race ./internal/fault ./internal/kvstore ./internal/tiering ./internal/spill ./internal/resp
 
 # race-shard is the focused race gate over the parallel simulation
 # kernel: the sharded engine's epoch fan-out and the byte-identical
@@ -63,10 +65,11 @@ resp-smoke:
 # crash-matrix replays the seeded spill workload, crashing at a bounded
 # stride of write/fsync boundaries (SPILL_CRASH_BOUNDARIES caps the
 # sweep for the gate; unset it for the exhaustive matrix), plus the
-# bit-flip-detection and recovery-determinism checks. Every crash must
-# recover with no acknowledged write lost and none half-visible.
+# concurrent group-commit sweep and the bit-flip-detection and
+# recovery-determinism checks. Every crash must recover with no
+# acknowledged write lost and none half-visible.
 crash-matrix:
-	SPILL_CRASH_BOUNDARIES=16 $(GO) test -run 'TestCrashMatrix|TestBitFlipQuarantined|TestRecoveryDeterministic' ./internal/spill
+	SPILL_CRASH_BOUNDARIES=16 $(GO) test -run 'TestCrashMatrix|TestGroupCommitCrashMatrix|TestBitFlipQuarantined|TestRecoveryDeterministic' ./internal/spill
 
 # fuzz-smoke runs the fuzzers briefly: the spill record decoder must
 # never panic on hostile bytes and every record it accepts must

@@ -208,7 +208,8 @@ func run(cfg config) error {
 	// Durable spill tier: recover the directory up front (repairing torn
 	// tails, quarantining corruption) and publish its counters — recovery
 	// duration, records scanned/quarantined, live I/O — into the same
-	// registry /metrics serves.
+	// registry /metrics serves. Appends do not fsync: the RESP server
+	// group-commits them (RESPBackend.Commit) before it sends their acks.
 	//
 	// closeSpill is the single teardown path: the graceful-drain branch
 	// calls it to surface close errors, and the defer catches every other
@@ -226,7 +227,7 @@ func run(cfg config) error {
 	}
 	defer closeSpill()
 	if cfg.spillDir != "" {
-		sd, rep, err := spill.Open(spill.Options{Dir: cfg.spillDir})
+		sd, rep, err := spill.Open(spill.Options{Dir: cfg.spillDir, SyncEvery: -1})
 		if err != nil {
 			return fmt.Errorf("spill tier: %w", err)
 		}

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -19,7 +21,9 @@ import (
 // it builds the real binary, starts it with the RESP front end on an
 // ephemeral port, drives a pipelined command mix over a raw TCP
 // connection asserting byte-exact replies, checks the per-command
-// counters landed in /metrics, then SIGINTs and asserts a clean drain.
+// counters landed in /metrics, checks a pipelined SET burst shared
+// fsyncs, then SIGINTs and asserts a clean drain. A restart on the same
+// spill directory must read the burst back.
 func TestRESPSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the full binary")
@@ -32,30 +36,7 @@ func TestRESPSmoke(t *testing.T) {
 	}
 
 	spillDir := t.TempDir()
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-resp", "127.0.0.1:0",
-		"-spill-dir", spillDir,
-	)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	// Scan startup output for the two ephemeral addresses.
-	respAddr, httpAddr := scanAddrs(t, stdout)
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	cmd, stderr, respAddr, httpAddr := startCxlserve(t, bin, spillDir)
 
 	conn, err := net.DialTimeout("tcp", respAddr, 5*time.Second)
 	if err != nil {
@@ -82,17 +63,7 @@ func TestRESPSmoke(t *testing.T) {
 		"*2\r\n$1\r\n1\r\n$1\r\n2\r\n" +
 		":1\r\n" +
 		"$-1\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(want))
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatalf("read replies: %v (got %q so far)", err, got)
-	}
-	if string(got) != want {
-		t.Fatalf("pipelined replies:\n got %q\nwant %q", got, want)
-	}
+	roundTrip(t, conn, req, want)
 
 	// Per-command metrics must be visible over the HTTP side.
 	metrics := fetchMetrics(t, httpAddr)
@@ -111,7 +82,93 @@ func TestRESPSmoke(t *testing.T) {
 		}
 	}
 
-	// Graceful drain: SIGINT, clean exit, spill closed exactly once.
+	// A pipelined SET burst is group-committed: its acks wait for one
+	// shared fsync, not one each.
+	const burst = 16
+	var sets, gets, oks, vals strings.Builder
+	for i := 0; i < burst; i++ {
+		k, v := fmt.Sprintf("burst%02d", i), fmt.Sprintf("val%02d", i)
+		fmt.Fprintf(&sets, "*3\r\n$3\r\nSET\r\n$%d\r\n%s\r\n$%d\r\n%s\r\n", len(k), k, len(v), v)
+		fmt.Fprintf(&gets, "*2\r\n$3\r\nGET\r\n$%d\r\n%s\r\n", len(k), k)
+		oks.WriteString("+OK\r\n")
+		fmt.Fprintf(&vals, "$%d\r\n%s\r\n", len(v), v)
+	}
+	roundTrip(t, conn, sets.String(), oks.String())
+	metrics = fetchMetrics(t, httpAddr)
+	fsyncs, records := metricValue(t, metrics, "spill_fsyncs_total"), metricValue(t, metrics, "spill_records_written_total")
+	if fsyncs >= records {
+		t.Errorf("spill_fsyncs_total %v >= spill_records_written_total %v: writes were not group-committed", fsyncs, records)
+	}
+
+	drain(t, cmd, stderr)
+	// The connection must be gone after drain.
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("connection still alive after drain")
+	}
+
+	// Restart on the same directory: every acknowledged write recovers.
+	cmd, stderr, respAddr, _ = startCxlserve(t, bin, spillDir)
+	conn2, err := net.DialTimeout("tcp", respAddr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial RESP %s after restart: %v", respAddr, err)
+	}
+	defer conn2.Close()
+	roundTrip(t, conn2, gets.String()+"*2\r\n$3\r\nGET\r\n$5\r\nsmoke\r\n", vals.String()+"$-1\r\n")
+	drain(t, cmd, stderr)
+}
+
+// startCxlserve starts bin with the RESP front end and the spill tier
+// at spillDir on ephemeral ports, and kills it when the test ends.
+func startCxlserve(t *testing.T, bin, spillDir string) (cmd *exec.Cmd, stderr *bytes.Buffer, respAddr, httpAddr string) {
+	t.Helper()
+	cmd = exec.Command(bin,
+		"-addr", "127.0.0.1:0",
+		"-resp", "127.0.0.1:0",
+		"-spill-dir", spillDir,
+	)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr = &bytes.Buffer{}
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+
+	// Scan startup output for the two ephemeral addresses.
+	respAddr, httpAddr = scanAddrs(t, stdout)
+	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	return cmd, stderr, respAddr, httpAddr
+}
+
+// roundTrip sends req in one write and requires exactly want back.
+func roundTrip(t *testing.T, conn net.Conn, req, want string) {
+	t.Helper()
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatalf("read replies: %v (got %q so far)", err, got)
+	}
+	if string(got) != want {
+		t.Fatalf("pipelined replies:\n got %q\nwant %q", got, want)
+	}
+}
+
+// drain SIGINTs cmd and requires a clean exit with the spill tier
+// closed exactly once.
+func drain(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
+	t.Helper()
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +187,20 @@ func TestRESPSmoke(t *testing.T) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
 		}
 	}
-	// The connection must be gone after drain.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Error("connection still alive after drain")
+}
+
+// metricValue reads one unlabeled sample from a Prometheus text body.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("/metrics has no %s sample", name)
 	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // scanAddrs reads startup lines until both listener addresses appear.

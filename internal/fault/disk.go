@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"strings"
+	"sync"
 )
 
 // ErrDiskCrashed is what every I/O op on a crashed DiskInjector returns:
@@ -39,8 +40,12 @@ type DiskFault struct {
 // DiskInjector implements the spill tier's write-layer shim (it
 // satisfies spill.Shim structurally; this package does not import
 // spill). It is deterministic and single-use: one injector models one
-// device lifetime ending in at most one crash.
+// device lifetime ending in at most one crash. It is safe for concurrent
+// use: the spill tier's group commit fsyncs outside the owner's lock
+// while the owner keeps writing, and boundaries are counted in the
+// order the calls take the injector's mutex.
 type DiskInjector struct {
+	mu         sync.Mutex
 	cfg        DiskFault
 	boundaries int
 	writes     int
@@ -68,6 +73,8 @@ func NeverCrash() DiskFault { return DiskFault{CrashAtBoundary: -1, FlipWrite: -
 // write is the bit-flip target, a torn prefix when the crash boundary
 // lands here, nothing once crashed.
 func (d *DiskInjector) Write(name string, off int64, p []byte) ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.crashed {
 		return nil, ErrDiskCrashed
 	}
@@ -103,6 +110,8 @@ func (d *DiskInjector) Write(name string, off int64, p []byte) ([]byte, error) {
 
 // Sync intercepts one fsync boundary.
 func (d *DiskInjector) Sync(name string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.crashed {
 		return ErrDiskCrashed
 	}
@@ -116,10 +125,18 @@ func (d *DiskInjector) Sync(name string) error {
 }
 
 // Boundaries returns how many write/sync boundaries have been counted.
-func (d *DiskInjector) Boundaries() int { return d.boundaries }
+func (d *DiskInjector) Boundaries() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.boundaries
+}
 
 // Crashed reports whether the injected crash has fired.
-func (d *DiskInjector) Crashed() bool { return d.crashed }
+func (d *DiskInjector) Crashed() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.crashed
+}
 
 // TargetDegraded reports whether any resource whose name contains sub
 // (case-insensitive) currently has an active fault — the hook the

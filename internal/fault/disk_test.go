@@ -2,6 +2,8 @@ package fault
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -107,5 +109,43 @@ func TestDiskInjectorFlipByteClamped(t *testing.T) {
 	}
 	if !bytes.Equal(out, []byte{0x00, 0x01}) {
 		t.Fatalf("clamped flip = %x", out)
+	}
+}
+
+// TestDiskInjectorConcurrent drives Write and Sync from several
+// goroutines, as the spill tier's group commit does (run under -race):
+// every call counts exactly one boundary, exactly one call fails at the
+// crash boundary, and every call after it fails too.
+func TestDiskInjectorConcurrent(t *testing.T) {
+	const workers, perWorker, crashAt = 4, 50, 120
+	d := NewDiskInjector(DiskFault{CrashAtBoundary: crashAt, TornBytes: 2, FlipWrite: -1})
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var err error
+				if (w+i)%3 == 0 {
+					err = d.Sync("seg")
+				} else {
+					_, err = d.Write("seg", int64(i), []byte("abcd"))
+				}
+				if err != nil {
+					failed.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := d.Boundaries(); got != crashAt+1 {
+		t.Fatalf("boundaries = %d, want %d (counting stops at the crash)", got, crashAt+1)
+	}
+	if !d.Crashed() {
+		t.Fatal("crash boundary never fired")
+	}
+	if got, want := failed.Load(), int64(workers*perWorker-crashAt); got != want {
+		t.Fatalf("%d calls failed, want %d (the crash and everything after it)", got, want)
 	}
 }

@@ -41,6 +41,16 @@ import (
 // that would have to touch the disk log answer -LOADING; memory-resident
 // reads keep serving.
 //
+// Durability contract: writes append to the tier under the mutex, and
+// Commit (resp.Committer) makes them durable outside it, so the fsync
+// never holds up other commands. The server commits before it sends a
+// write's reply, which makes one fsync cover a pipelined burst and the
+// concurrent writes of other connections. No reply acknowledges a write
+// before its fsync; another connection may read a value that is not yet
+// durable, as with Redis's appendfsync always. A tier opened with the
+// default SyncEvery of 1 fsyncs inside each append, and Commit has
+// nothing left to do.
+//
 // All methods are safe for concurrent use; one mutex serializes the
 // store (the Store itself is single-threaded by contract).
 type RESPBackend struct {
@@ -360,10 +370,23 @@ func (b *RESPBackend) Info() string {
 		}
 		fmt.Fprintf(&sb, "# Durability\r\nspill_live_keys:%d\r\nspill_segments:%d\r\n",
 			st.LiveKeys, st.Segments)
-		fmt.Fprintf(&sb, "spill_records_written:%d\r\nspill_degraded:%d\r\nspill_shed_writes:%d\r\n",
-			st.RecordsWritten, degraded, b.shed)
+		fmt.Fprintf(&sb, "spill_records_written:%d\r\nspill_fsyncs:%d\r\n", st.RecordsWritten, st.Fsyncs)
+		fmt.Fprintf(&sb, "spill_degraded:%d\r\nspill_shed_writes:%d\r\n", degraded, b.shed)
 	}
 	return sb.String()
+}
+
+// Commit implements resp.Committer: it returns once every write
+// appended so far is on stable storage, and at once when nothing is
+// unsynced or there is no tier.
+func (b *RESPBackend) Commit() error {
+	if b.tier == nil {
+		return nil
+	}
+	b.mu.Lock()
+	seq := b.tier.Seq()
+	b.mu.Unlock()
+	return b.tier.SyncThrough(seq)
 }
 
 // VirtualNow reports the backend's virtual clock (ns).

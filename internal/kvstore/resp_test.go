@@ -35,7 +35,19 @@ func respStore(t *testing.T) *Store {
 
 func openTier(t *testing.T, dir string) *spill.Dir {
 	t.Helper()
-	d, _, err := spill.Open(spill.Options{Dir: dir})
+	return openTierOpts(t, spill.Options{Dir: dir})
+}
+
+// openDeferredTier opens the tier as cxlserve does: no automatic fsync,
+// so writes become durable only at the backend's Commit.
+func openDeferredTier(t *testing.T, dir string) *spill.Dir {
+	t.Helper()
+	return openTierOpts(t, spill.Options{Dir: dir, SyncEvery: -1})
+}
+
+func openTierOpts(t *testing.T, opts spill.Options) *spill.Dir {
+	t.Helper()
+	d, _, err := spill.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +116,17 @@ func TestRESPBackendSemantics(t *testing.T) {
 
 // TestRESPBackendDurableRecovery pins the restart story: values written
 // through one backend are readable from a fresh process (new tier, new
-// backend) via disk read-through, and deletes persist too.
+// backend) via disk read-through, and deletes persist too. It runs on a
+// tier that fsyncs every append and on a deferred-sync tier that
+// commits before Close.
 func TestRESPBackendDurableRecovery(t *testing.T) {
+	t.Run("sync-every", func(t *testing.T) { testDurableRecovery(t, openTier, false) })
+	t.Run("deferred-sync", func(t *testing.T) { testDurableRecovery(t, openDeferredTier, true) })
+}
+
+func testDurableRecovery(t *testing.T, open func(*testing.T, string) *spill.Dir, commit bool) {
 	dir := t.TempDir()
-	tier := openTier(t, dir)
+	tier := open(t, dir)
 	b := NewRESPBackend(respStore(t), tier)
 
 	if err := b.Set([]byte("stay"), []byte("persisted")); err != nil {
@@ -123,6 +142,14 @@ func TestRESPBackendDurableRecovery(t *testing.T) {
 	// must reject them rather than silently lose durability.
 	if err := b.Set(nil, []byte("x")); err == nil {
 		t.Fatal("durable mode accepted an empty key")
+	}
+	if commit {
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if st := tier.Stats(); st.Fsyncs != 1 || st.RecordsWritten != 3 {
+			t.Fatalf("commit: %d fsyncs for %d records, want 1 for 3", st.Fsyncs, st.RecordsWritten)
+		}
 	}
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
@@ -327,12 +354,78 @@ func TestRESPKeysMatchesInfoAfterReadThrough(t *testing.T) {
 	}
 }
 
+// TestRESPBackendDeferredSyncMultiKey: on a deferred-sync tier, an MSET
+// of N pairs and a DEL of N keys each append N records and cost at most
+// one fsync, taken at Commit; a Commit with nothing unsynced costs none;
+// INFO reports the records and fsyncs.
+func TestRESPBackendDeferredSyncMultiKey(t *testing.T) {
+	const n = 8
+	tier := openDeferredTier(t, t.TempDir())
+	b := NewRESPBackend(respStore(t), tier)
+	var pairs, keys [][]byte
+	for i := 0; i < n; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		pairs = append(pairs, k, []byte("v"))
+		keys = append(keys, k)
+	}
+	step := func(name string, op func() error) {
+		t.Helper()
+		before := tier.Stats()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := tier.Stats().Fsyncs - before.Fsyncs; got != 0 {
+			t.Fatalf("%s fsynced %d times before Commit", name, got)
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatalf("%s commit: %v", name, err)
+		}
+		after := tier.Stats()
+		if recs := after.RecordsWritten - before.RecordsWritten; recs != n {
+			t.Fatalf("%s appended %d records, want %d", name, recs, n)
+		}
+		if got := after.Fsyncs - before.Fsyncs; got > 1 {
+			t.Fatalf("%s cost %d fsyncs, want at most 1", name, got)
+		}
+	}
+	step("MSET", func() error { return b.MSet(pairs) })
+	step("DEL", func() error {
+		if got, err := b.Del(keys); err != nil || got != n {
+			return fmt.Errorf("deleted %d of %d: %v", got, n, err)
+		}
+		return nil
+	})
+	before := tier.Stats().Fsyncs
+	if err := b.Commit(); err != nil || tier.Stats().Fsyncs != before {
+		t.Fatalf("idle Commit: err=%v fsyncs %d -> %d", err, before, tier.Stats().Fsyncs)
+	}
+	st := tier.Stats()
+	for _, want := range []string{
+		fmt.Sprintf("spill_records_written:%d\r\n", st.RecordsWritten),
+		fmt.Sprintf("spill_fsyncs:%d\r\n", st.Fsyncs),
+	} {
+		if !strings.Contains(b.Info(), want) {
+			t.Fatalf("INFO missing %q:\n%s", want, b.Info())
+		}
+	}
+}
+
 // TestRESPBackendConcurrentScrape scrapes /metrics while clients write
 // and read a spill-backed backend, as cxlserve does: every
 // function-backed family reads its owner's state safely (run under
 // -race), and the final scrape agrees with the owners' counts.
 func TestRESPBackendConcurrentScrape(t *testing.T) {
-	tier := openTier(t, t.TempDir())
+	concurrentScrape(t, openTier(t, t.TempDir()), false)
+}
+
+// TestRESPBackendConcurrentCommit is TestRESPBackendConcurrentScrape on a
+// deferred-sync tier with every client committing after its SET, so
+// Commit's fsync runs outside the mutex alongside Sets, Gets and scrapes.
+func TestRESPBackendConcurrentCommit(t *testing.T) {
+	concurrentScrape(t, openDeferredTier(t, t.TempDir()), true)
+}
+
+func concurrentScrape(t *testing.T, tier *spill.Dir, commit bool) {
 	b := NewRESPBackend(respStore(t), tier)
 	reg := obs.NewRegistry()
 	tier.Instrument(reg)
@@ -364,6 +457,12 @@ func TestRESPBackendConcurrentScrape(t *testing.T) {
 				if err := b.Set(key, []byte("v")); err != nil {
 					t.Error(err)
 					return
+				}
+				if commit {
+					if err := b.Commit(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if _, ok, err := b.Get(key); !ok || err != nil {
 					t.Errorf("get %s: ok=%v err=%v", key, ok, err)
@@ -400,5 +499,8 @@ func TestRESPBackendConcurrentScrape(t *testing.T) {
 		if got, _ := strconv.ParseFloat(m[1], 64); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
+	}
+	if st := tier.Stats(); commit && (st.Fsyncs == 0 || st.Fsyncs > st.RecordsWritten) {
+		t.Errorf("%d commits cost %d fsyncs; want between 1 and one per record", st.RecordsWritten, st.Fsyncs)
 	}
 }

@@ -32,6 +32,17 @@ type Backend interface {
 	Info() string
 }
 
+// Committer is an optional Backend extension for a durable backend that
+// appends writes before they are on stable storage. Commit returns once
+// every write the backend has applied so far, on any connection, is
+// durable. The server calls it before it flushes a batch of replies that
+// acknowledges a write, so one Commit covers a whole pipelined burst and
+// the concurrent writes of other connections. An error drops the batch
+// and closes the connection, as a crash would.
+type Committer interface {
+	Commit() error
+}
+
 // Dispatcher routes parsed commands to a Backend and encodes replies.
 type Dispatcher struct {
 	b Backend
@@ -63,11 +74,22 @@ var knownCommands = map[string]bool{
 	"hello": true,
 }
 
+// writeCommands are the commands whose success reply acknowledges a
+// write.
+var writeCommands = map[string]bool{"set": true, "del": true, "incr": true, "mset": true}
+
 // Dispatch executes one command, appending its reply to out and
 // returning the extended buffer. quit reports that the client asked to
 // close (QUIT) after the reply is flushed. Empty argument lists are the
 // caller's to skip.
 func (d *Dispatcher) Dispatch(args [][]byte, out []byte) (reply []byte, quit bool) {
+	reply, quit, _ = d.dispatch(args, out)
+	return reply, quit
+}
+
+// dispatch is Dispatch that also reports whether the reply acknowledges
+// a write, which the server must commit before flushing it.
+func (d *Dispatcher) dispatch(args [][]byte, out []byte) (reply []byte, quit, acksWrite bool) {
 	cmd := strings.ToLower(string(args[0]))
 	label := cmd
 	if !knownCommands[label] {
@@ -78,10 +100,11 @@ func (d *Dispatcher) Dispatch(args [][]byte, out []byte) (reply []byte, quit boo
 	}
 	before := len(out)
 	out, quit = d.exec(cmd, args, out)
-	if d.errs != nil && len(out) > before && out[before] == '-' {
+	failed := len(out) > before && out[before] == '-'
+	if d.errs != nil && failed {
 		d.errs.With(label).Inc()
 	}
-	return out, quit
+	return out, quit, writeCommands[cmd] && !failed
 }
 
 func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) {

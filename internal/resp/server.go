@@ -34,8 +34,9 @@ type Options struct {
 // Server is a RESP front end over a Backend. Create with NewServer,
 // start with Serve, stop with Shutdown.
 type Server struct {
-	disp *Dispatcher
-	opts Options
+	disp   *Dispatcher
+	commit Committer // nil unless the backend is one
+	opts   Options
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -62,6 +63,7 @@ func NewServer(b Backend, opts Options) *Server {
 		opts:  opts,
 		conns: map[net.Conn]struct{}{},
 	}
+	s.commit, _ = b.(Committer)
 	if reg := opts.Registry; reg != nil {
 		s.disp.Instrument(reg)
 		s.connsOpen = reg.Gauge(obs.MetricRESPConnsOpen, "RESP connections currently open")
@@ -137,6 +139,12 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
+// reply is one command's encoded reply on its way to the writer.
+type reply struct {
+	b         []byte
+	acksWrite bool // must not leave before a Commit covers it
+}
+
 // serveConn runs one connection's read loop; replies flow to a writer
 // goroutine over a bounded channel so a slow reader of our replies
 // backpressures parsing instead of buffering without limit.
@@ -145,11 +153,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	replies := make(chan []byte, 64)
+	replies := make(chan reply, 64)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		writeLoop(conn, replies)
+		writeLoop(conn, replies, s.commit)
 	}()
 	defer func() {
 		close(replies)
@@ -165,15 +173,15 @@ func (s *Server) serveConn(conn net.Conn) {
 				if s.protoErrs != nil {
 					s.protoErrs.Inc()
 				}
-				replies <- AppendError(nil, "ERR "+pe.Error())
+				replies <- reply{b: AppendError(nil, "ERR "+pe.Error())}
 			}
 			return
 		}
 		if len(args) == 0 {
 			continue
 		}
-		out, quit := s.disp.Dispatch(args, nil)
-		replies <- out
+		out, quit, acks := s.disp.dispatch(args, nil)
+		replies <- reply{b: out, acksWrite: acks}
 		if quit {
 			return
 		}
@@ -182,26 +190,38 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // writeLoop batches replies into one buffered writer, flushing only
 // when no further reply is immediately pending — a pipelined burst of N
-// commands goes out in one (or few) TCP segments.
-func writeLoop(conn net.Conn, replies <-chan []byte) {
+// commands goes out in one (or few) TCP segments. A batch that
+// acknowledges a write is committed first (when c is non-nil), so the
+// whole burst shares one fsync. The last reply always flushes, since
+// the channel is empty when it arrives: QUIT and drain go through the
+// same barrier.
+func writeLoop(conn net.Conn, replies <-chan reply, c Committer) {
 	const flushThreshold = 64 << 10
 	buf := make([]byte, 0, 16<<10)
-	for b := range replies {
-		buf = append(buf, b...)
+	uncommitted := false
+	for r := range replies {
+		buf = append(buf, r.b...)
+		uncommitted = uncommitted || r.acksWrite
 		if len(replies) > 0 && len(buf) < flushThreshold {
 			continue
 		}
-		if _, err := conn.Write(buf); err != nil {
-			// Peer gone: drain the channel so the read loop never blocks
-			// sending to it, then bail.
+		var err error
+		if uncommitted && c != nil {
+			err = c.Commit()
+		}
+		if err == nil {
+			_, err = conn.Write(buf)
+		}
+		if err != nil {
+			// Peer gone or commit failed: drop the batch and close, which
+			// also ends the read loop; drain the channel so it never
+			// blocks sending to it.
+			conn.Close()
 			for range replies {
 			}
 			return
 		}
-		buf = buf[:0]
-	}
-	if len(buf) > 0 {
-		conn.Write(buf)
+		buf, uncommitted = buf[:0], false
 	}
 }
 

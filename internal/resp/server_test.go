@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +23,12 @@ func startServer(t *testing.T, b Backend, opts Options) (string, *Server, func()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serve(t, b, opts, ln)
+}
+
+// serve is startServer over a given listener.
+func serve(t *testing.T, b Backend, opts Options, ln net.Listener) (string, *Server, func()) {
+	t.Helper()
 	s := NewServer(b, opts)
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln) }()
@@ -172,5 +180,188 @@ func TestServerGracefulDrain(t *testing.T) {
 	if c2, err := net.Dial("tcp", addr); err == nil {
 		c2.Close()
 		t.Fatal("dial after shutdown succeeded")
+	}
+}
+
+// commitBackend models a deferred-sync durable backend: each SET is an
+// append, and Commit makes every append so far durable after a delay
+// that stands in for the fsync, or fails with commitErr.
+type commitBackend struct {
+	*mapBackend
+	delay     time.Duration
+	commitErr error
+
+	cmu               sync.Mutex
+	appended, durable int // SETs applied; SETs covered by a returned Commit
+	commits           int
+}
+
+func newCommitBackend(delay time.Duration, err error) *commitBackend {
+	return &commitBackend{mapBackend: newMapBackend(), delay: delay, commitErr: err}
+}
+
+func (b *commitBackend) Set(key, val []byte) error {
+	if err := b.mapBackend.Set(key, val); err != nil {
+		return err
+	}
+	b.cmu.Lock()
+	b.appended++
+	b.cmu.Unlock()
+	return nil
+}
+
+func (b *commitBackend) Commit() error {
+	b.cmu.Lock()
+	target := b.appended
+	b.commits++
+	b.cmu.Unlock()
+	time.Sleep(b.delay)
+	if b.commitErr != nil {
+		return b.commitErr
+	}
+	b.cmu.Lock()
+	b.durable = max(b.durable, target)
+	b.cmu.Unlock()
+	return nil
+}
+
+func (b *commitBackend) counts() (durable, commits int) {
+	b.cmu.Lock()
+	defer b.cmu.Unlock()
+	return b.durable, b.commits
+}
+
+// ackCheckListener wraps every accepted connection so that each server
+// write checks the barrier: a client sends sets SETs before anything
+// else, so the first sets 5-byte "+OK\r\n" replies are write acks, and
+// no write may carry more of them than the backend has made durable.
+type ackCheckListener struct {
+	net.Listener
+	t    *testing.T
+	b    *commitBackend
+	sets int
+}
+
+func (l ackCheckListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &ackCheckConn{Conn: c, l: l}, nil
+}
+
+type ackCheckConn struct {
+	net.Conn
+	l       ackCheckListener
+	written int
+}
+
+func (c *ackCheckConn) Write(p []byte) (int, error) {
+	c.written += len(p)
+	acks := min(c.written/len("+OK\r\n"), c.l.sets)
+	if durable, _ := c.l.b.counts(); acks > durable {
+		c.l.t.Errorf("server wrote %d write acks with %d writes durable", acks, durable)
+	}
+	return c.Conn.Write(p)
+}
+
+// startCommitServer serves b behind the ack barrier check.
+func startCommitServer(t *testing.T, b *commitBackend, sets int) (string, func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _, stop := serve(t, b, Options{}, ackCheckListener{Listener: ln, t: t, b: b, sets: sets})
+	return addr, stop
+}
+
+func sets(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%d", i)
+		fmt.Fprintf(&sb, "*3\r\n$3\r\nSET\r\n$%d\r\n%s\r\n$1\r\nv\r\n", len(k), k)
+	}
+	return sb.String()
+}
+
+// exchange writes req in one segment and reads until the server closes
+// or want bytes arrive.
+func exchange(t *testing.T, addr, req string, want int) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, want)
+	n, _ := io.ReadFull(conn, got)
+	return string(got[:n])
+}
+
+// TestServerCommitsPipelinedBurst: a pipelined burst of 16 SETs is
+// acknowledged only after a Commit covering each ack has returned, and
+// the whole burst costs at most 2 commits (the first reply can flush
+// alone before the rest are dispatched).
+func TestServerCommitsPipelinedBurst(t *testing.T) {
+	b := newCommitBackend(50*time.Millisecond, nil)
+	addr, stop := startCommitServer(t, b, 16)
+	defer stop()
+	want := strings.Repeat("+OK\r\n", 16)
+	if got := exchange(t, addr, sets(16), len(want)); got != want {
+		t.Fatalf("replies %q, want %q", got, want)
+	}
+	if durable, commits := b.counts(); durable != 16 || commits > 2 {
+		t.Fatalf("durable=%d commits=%d; want 16 durable in at most 2 commits", durable, commits)
+	}
+}
+
+// TestServerCommitsBeforeQuitFlush covers the final flush: SETs
+// pipelined with QUIT are acknowledged after their commit, then the
+// connection closes.
+func TestServerCommitsBeforeQuitFlush(t *testing.T) {
+	b := newCommitBackend(20*time.Millisecond, nil)
+	addr, stop := startCommitServer(t, b, 3)
+	defer stop()
+	want := strings.Repeat("+OK\r\n", 4)
+	if got := exchange(t, addr, sets(3)+"*1\r\n$4\r\nQUIT\r\n", len(want)+1); got != want {
+		t.Fatalf("replies %q, want %q then close", got, want)
+	}
+	if durable, _ := b.counts(); durable != 3 {
+		t.Fatalf("durable=%d, want 3", durable)
+	}
+}
+
+// TestServerCommitErrorCloses: a failed Commit drops the batch's acks
+// and closes the connection.
+func TestServerCommitErrorCloses(t *testing.T) {
+	b := newCommitBackend(0, errors.New("device dead"))
+	addr, stop := startCommitServer(t, b, 4)
+	defer stop()
+	if got := exchange(t, addr, sets(4), 1); got != "" {
+		t.Fatalf("got %q after a failed commit, want the connection closed with no reply", got)
+	}
+	if _, commits := b.counts(); commits == 0 {
+		t.Fatal("the batch never tried to commit")
+	}
+}
+
+// TestServerReadsNeedNoCommit: a batch with no write in it never calls
+// Commit, so it costs no fsync.
+func TestServerReadsNeedNoCommit(t *testing.T) {
+	b := newCommitBackend(0, nil)
+	addr, stop := startCommitServer(t, b, 0)
+	defer stop()
+	req := "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n*1\r\n$4\r\nPING\r\n*2\r\n$6\r\nEXISTS\r\n$1\r\nk\r\n"
+	want := "$-1\r\n+PONG\r\n:0\r\n"
+	if got := exchange(t, addr, req, len(want)); got != want {
+		t.Fatalf("replies %q, want %q", got, want)
+	}
+	if _, commits := b.counts(); commits != 0 {
+		t.Fatalf("read-only batch committed %d times", commits)
 	}
 }

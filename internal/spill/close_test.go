@@ -48,7 +48,7 @@ func TestCloseIdempotentAfterFailure(t *testing.T) {
 	if err := d.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	d.failed = errDeviceDead
+	d.fail(errDeviceDead)
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close of failed dir: %v", err)
 	}

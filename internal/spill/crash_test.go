@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 
 	"cxlsim/internal/fault"
@@ -318,5 +319,227 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 	if wide := table(8); wide != serial {
 		t.Fatalf("recovery table differs at parallel=8:\n%s\nvs\n%s", serial, wide)
+	}
+}
+
+// The group-commit crash matrix: groupWriters goroutines append to
+// disjoint keys under one shared mutex and acknowledge only after
+// SyncThrough, called outside it — the way a server takes fsync off its
+// request lock. Each round is an append phase (every writer appends one
+// or two records, contending for the mutex) followed by a commit phase
+// (every writer calls SyncThrough concurrently, so one leader fsyncs the
+// whole round). Records have one size, so the boundary layout is the
+// same on every run whatever the interleaving: a crash boundary names
+// the same write or fsync each time.
+const (
+	groupWriters = 4
+	groupKeys    = 3 // per writer
+	groupRounds  = 12
+	groupSeg     = 600 // bytes; a rotation every few rounds
+)
+
+func groupKey(w, k int) []byte      { return []byte(fmt.Sprintf("w%d-k%d", w, k)) }
+func groupVal(w, k, ver int) []byte { return []byte(fmt.Sprintf("w%d-k%d-v%04d", w, k, ver)) }
+
+// groupAppends is how many records writer w appends in round r.
+func groupAppends(w, r int) int { return 1 + (w+r)%2 }
+
+// groupWriter is one writer and its model: for each key, the newest
+// version written or in flight, and the newest acknowledged.
+type groupWriter struct {
+	id           int
+	seq          uint64 // Seq after this round's last append
+	round        []int  // keys appended this round
+	tried, acked [groupKeys]int
+	err          error
+}
+
+func (g *groupWriter) appendRound(d *spill.Dir, mu *sync.Mutex, r int) {
+	g.round = g.round[:0]
+	for i := 0; i < groupAppends(g.id, r); i++ {
+		k := (2*r + i) % groupKeys
+		g.tried[k]++
+		mu.Lock()
+		err := d.Put(groupKey(g.id, k), groupVal(g.id, k, g.tried[k]))
+		g.seq = d.Seq()
+		mu.Unlock()
+		if err != nil {
+			g.err = err
+			return
+		}
+		g.round = append(g.round, k)
+	}
+}
+
+func (g *groupWriter) commitRound(d *spill.Dir) {
+	if g.err != nil {
+		return
+	}
+	if g.err = d.SyncThrough(g.seq); g.err != nil {
+		return
+	}
+	for _, k := range g.round {
+		g.acked[k] = g.tried[k]
+	}
+}
+
+// runGroupWorkload runs the rounds against a fresh deferred-sync dir
+// under shim until the first error, and returns the writers' models.
+func runGroupWorkload(t *testing.T, dir string, shim spill.Shim) []*groupWriter {
+	t.Helper()
+	d, _, err := spill.Open(spill.Options{Dir: dir, SegmentBytes: groupSeg, SyncEvery: -1, Shim: shim})
+	if err != nil {
+		t.Fatalf("open under shim: %v", err)
+	}
+	defer d.Close()
+	ws := make([]*groupWriter, groupWriters)
+	for i := range ws {
+		ws[i] = &groupWriter{id: i}
+	}
+	phase := func(fn func(g *groupWriter)) (failed bool) {
+		var wg sync.WaitGroup
+		for _, g := range ws {
+			wg.Add(1)
+			go func() { defer wg.Done(); fn(g) }()
+		}
+		wg.Wait()
+		for _, g := range ws {
+			failed = failed || g.err != nil
+		}
+		return failed
+	}
+	var mu sync.Mutex
+	for r := 0; r < groupRounds; r++ {
+		phase(func(g *groupWriter) { g.appendRound(d, &mu, r) })
+		if phase(func(g *groupWriter) { g.commitRound(d) }) {
+			break
+		}
+	}
+	return ws
+}
+
+// verifyGroupRecovery recovers dir and checks every key: it holds its
+// last acknowledged version or a later one that was written or in
+// flight — never an older value, never a torn one — and a key with an
+// acknowledged version is never absent.
+func verifyGroupRecovery(t *testing.T, k int, dir string, ws []*groupWriter) {
+	t.Helper()
+	d, rep, err := spill.Open(spill.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("boundary %d: recovery failed: %v", k, err)
+	}
+	defer d.Close()
+	for _, g := range ws {
+		for key := 0; key < groupKeys; key++ {
+			v, ok, err := d.Get(groupKey(g.id, key))
+			if err != nil {
+				t.Fatalf("boundary %d: key %s unreadable: %v", k, groupKey(g.id, key), err)
+			}
+			if !ok {
+				if g.acked[key] > 0 {
+					t.Fatalf("boundary %d: acknowledged v%d of %s lost (report %s)", k, g.acked[key], groupKey(g.id, key), rep)
+				}
+				continue
+			}
+			ver := 0
+			for cand := g.acked[key]; cand <= g.tried[key]; cand++ {
+				if bytes.Equal(v, groupVal(g.id, key, cand)) {
+					ver = cand
+				}
+			}
+			if ver == 0 {
+				t.Fatalf("boundary %d: %s = %q, want a version in [v%d, v%d]",
+					k, groupKey(g.id, key), v, max(g.acked[key], 1), g.tried[key])
+			}
+		}
+	}
+}
+
+// kindShim records each boundary's kind and file type, failing nothing.
+type kindShim struct {
+	mu    sync.Mutex
+	kinds []string
+}
+
+func (s *kindShim) note(kind, name string) {
+	s.mu.Lock()
+	s.kinds = append(s.kinds, kind+" "+filepath.Ext(name))
+	s.mu.Unlock()
+}
+
+func (s *kindShim) Write(name string, _ int64, p []byte) ([]byte, error) {
+	s.note("write", name)
+	return p, nil
+}
+
+func (s *kindShim) Sync(name string) error {
+	s.note("sync", name)
+	return nil
+}
+
+// TestGroupCommitCrashMatrix sweeps crash boundaries over the concurrent
+// group-commit workload (strided by SPILL_CRASH_BOUNDARIES, as
+// TestCrashMatrix is), always including the first round's group fsync
+// and the append just before it, and checks every recovery.
+func TestGroupCommitCrashMatrix(t *testing.T) {
+	probe := &kindShim{}
+	for _, g := range runGroupWorkload(t, t.TempDir(), probe) {
+		if g.err != nil {
+			t.Fatalf("probe run failed: %v", g.err)
+		}
+	}
+	writes, syncs := 0, 0
+	for _, k := range probe.kinds {
+		switch k {
+		case "write .seg":
+			writes++
+		case "sync .seg":
+			syncs++
+		}
+	}
+	if writes == 0 || syncs >= writes {
+		t.Fatalf("probe: %d segment fsyncs for %d appends; group commit should share them", syncs, writes)
+	}
+	groupSync := 0 // the first round's appends come first, then its one fsync
+	for w := 0; w < groupWriters; w++ {
+		groupSync += groupAppends(w, 0)
+	}
+	if probe.kinds[groupSync] != "sync .seg" || probe.kinds[groupSync-1] != "write .seg" {
+		t.Fatalf("probe boundaries %d..%d = %q, want an append then the round's fsync",
+			groupSync-1, groupSync, probe.kinds[groupSync-1:groupSync+1])
+	}
+	total := len(probe.kinds)
+	limit := total
+	if s := os.Getenv("SPILL_CRASH_BOUNDARIES"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			t.Fatalf("bad SPILL_CRASH_BOUNDARIES=%q", s)
+		}
+		limit = min(limit, n)
+	}
+	boundaries := []int{groupSync - 1, groupSync}
+	for i := 0; i < limit; i++ {
+		boundaries = append(boundaries, i*total/limit)
+	}
+
+	root := t.TempDir()
+	for _, k := range boundaries {
+		dir := filepath.Join(root, fmt.Sprintf("g%04d", k))
+		shim := fault.NewDiskInjector(fault.DiskFault{CrashAtBoundary: k, TornBytes: k % 29, FlipWrite: -1})
+		ws := runGroupWorkload(t, dir, shim)
+		if !shim.Crashed() {
+			t.Fatalf("boundary %d never reached (total %d)", k, shim.Boundaries())
+		}
+		if k <= groupSync {
+			// The first round's fsync never completed: nothing may be
+			// acknowledged.
+			for _, g := range ws {
+				if g.acked != [groupKeys]int{} {
+					t.Fatalf("boundary %d: writer %d acknowledged %v before any fsync", k, g.id, g.acked)
+				}
+			}
+		}
+		verifyGroupRecovery(t, k, dir, ws)
+		os.RemoveAll(dir)
 	}
 }

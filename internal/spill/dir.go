@@ -1,10 +1,12 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cxlsim/internal/obs"
@@ -28,9 +30,9 @@ type Options struct {
 	// SegmentBytes is the rotation threshold (default 4 MiB).
 	SegmentBytes int64
 	// SyncEvery fsyncs after every N acknowledged appends (default 1:
-	// every Put is durable before it returns). 0 disables automatic
-	// fsync — only rotation and explicit Sync flush, and a crash loses
-	// everything since the last flush boundary.
+	// every Put is durable before it returns). Negative disables
+	// automatic fsync: only rotation, Sync and SyncThrough flush, and a
+	// crash loses everything since the last flush boundary.
 	SyncEvery int
 	// Shim, when non-nil, intercepts physical writes and fsyncs.
 	Shim Shim
@@ -79,7 +81,8 @@ func (s Stats) WriteAmplification() float64 {
 
 // Dir is an open spill tier rooted at one directory. It is not safe for
 // concurrent use; the kvstore drives it from the single-threaded DES
-// loop and real services must wrap it in their own lock.
+// loop and real services must wrap it in their own lock. SyncThrough is
+// the one exception: it may be called without that lock.
 type Dir struct {
 	opts Options
 
@@ -100,11 +103,30 @@ type Dir struct {
 	// sealed read handles, opened on demand.
 	readers map[uint32]*os.File
 
-	failed error // sticky device failure: every later op returns it
+	c commitState
 
 	recovery *RecoveryReport
 	n        counts
 }
+
+// commitState is what the owner shares with SyncThrough callers. The
+// owner publishes each append's sequence number together with the
+// segment that holds it, so a rotation cannot split them. Rotation
+// fsyncs the segment it seals, so syncing file covers every record
+// through appended. mu guards every field.
+type commitState struct {
+	mu       sync.Mutex
+	synced   *sync.Cond // broadcast when a SyncThrough leader's fsync ends
+	file     *os.File   // segment holding record appended; nil once closed
+	appended uint64     // newest seq written to file
+	durable  uint64     // newest seq known to be on stable storage
+	syncing  bool       // a leader's fsync is in flight
+	failed   error      // sticky device failure: every later op returns it
+}
+
+// errClosed is what SyncThrough returns for records a closed Dir never
+// made durable.
+var errClosed = errors.New("spill: closed")
 
 // counts is the tier's own I/O accounting. The fields are atomics because
 // the functions Instrument registers read them from whatever goroutine
@@ -137,6 +159,9 @@ func Open(opts Options) (*Dir, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	d.recovery = rep
+	d.c.synced = sync.NewCond(&d.c.mu)
+	d.c.durable = d.seq // recovery trusts what the disk holds
+	d.publish()
 	d.n.liveKeys.Store(uint64(len(d.keydir)))
 	d.n.segments.Store(uint64(rep.Segments))
 	return d, rep, nil
@@ -177,19 +202,20 @@ func (d *Dir) Delete(key []byte) error {
 }
 
 func (d *Dir) append(r Record) error {
-	if d.failed != nil {
-		return d.failed
+	if err := d.err(); err != nil {
+		return err
 	}
 	if len(r.Key) == 0 || len(r.Key) > MaxKeyLen || len(r.Val) > MaxValLen {
 		return fmt.Errorf("spill: key/value size out of range (%d/%d)", len(r.Key), len(r.Val))
 	}
-	d.seq++
-	r.Seq = d.seq
+	r.Seq = d.seq + 1
 	buf := EncodeRecord(r)
 	off := d.activeSize
 	if err := d.write(d.active, off, buf); err != nil {
 		return err
 	}
+	d.seq = r.Seq
+	d.publish()
 	if r.Tombstone {
 		delete(d.keydir, string(r.Key))
 		d.tombs[string(r.Key)] = hintEntry{key: r.Key, off: off, seq: r.Seq}
@@ -232,29 +258,113 @@ func (d *Dir) write(f *os.File, off int64, p []byte) error {
 	}
 	d.n.bytes.Add(uint64(n))
 	if serr != nil {
-		d.failed = serr
-		return serr
+		return d.fail(serr)
 	}
 	return nil
 }
 
-// Sync flushes the active segment to stable storage.
-func (d *Dir) Sync() error {
-	if d.failed != nil {
-		return d.failed
+// err returns the sticky device failure, if any.
+func (d *Dir) err() error {
+	d.c.mu.Lock()
+	defer d.c.mu.Unlock()
+	return d.c.failed
+}
+
+// fail records err as the sticky device failure (the first one wins)
+// and returns it.
+func (d *Dir) fail(err error) error {
+	d.c.mu.Lock()
+	defer d.c.mu.Unlock()
+	if d.c.failed == nil {
+		d.c.failed = err
 	}
+	return err
+}
+
+// publish hands the newest appended sequence number and the active
+// segment holding it to SyncThrough callers. Owner only.
+func (d *Dir) publish() {
+	d.c.mu.Lock()
+	d.c.file, d.c.appended = d.active, d.seq
+	d.c.mu.Unlock()
+}
+
+// fsync flushes f through the shim and the file; any failure kills the
+// device. Safe without the owner's lock.
+func (d *Dir) fsync(f *os.File) error {
 	if d.opts.Shim != nil {
-		if err := d.opts.Shim.Sync(d.active.Name()); err != nil {
-			d.failed = err
-			return err
+		if err := d.opts.Shim.Sync(f.Name()); err != nil {
+			return d.fail(err)
 		}
 	}
-	if err := d.active.Sync(); err != nil {
-		d.failed = fmt.Errorf("spill: %s: %w", d.active.Name(), err)
-		return d.failed
+	if err := f.Sync(); err != nil {
+		return d.fail(fmt.Errorf("spill: %s: %w", f.Name(), err))
+	}
+	d.n.fsyncs.Add(1)
+	return nil
+}
+
+// markDurable records that every record through seq is on stable
+// storage. Caller holds d.c.mu.
+func (d *Dir) markDurable(seq uint64) {
+	if seq > d.c.durable {
+		d.c.durable = seq
+	}
+}
+
+// Sync flushes the active segment to stable storage.
+func (d *Dir) Sync() error {
+	if err := d.err(); err != nil {
+		return err
+	}
+	if err := d.fsync(d.active); err != nil {
+		return err
 	}
 	d.unsynced = 0
-	d.n.fsyncs.Add(1)
+	d.c.mu.Lock()
+	d.markDurable(d.seq)
+	d.c.mu.Unlock()
+	return nil
+}
+
+// SyncThrough returns once every record through seq (a value Seq
+// returned) is on stable storage. It is the one Dir method safe to call
+// without the owner's lock, and it is how a server takes fsync off its
+// request lock: append under the lock, read Seq, unlock, then
+// SyncThrough before acknowledging.
+//
+// Concurrent callers group-commit. A caller whose seq is already
+// durable returns at once. Otherwise the first caller in becomes the
+// leader and fsyncs everything appended so far; later callers wait for
+// that fsync and return if it covered them, or lead the next one. A
+// failed fsync fails the device for every caller and for the owner.
+func (d *Dir) SyncThrough(seq uint64) error {
+	c := &d.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.durable < seq {
+		switch {
+		case c.failed != nil:
+			return c.failed
+		case c.file == nil:
+			return errClosed
+		case seq > c.appended:
+			return fmt.Errorf("spill: sync through seq %d, newest appended is %d", seq, c.appended)
+		case c.syncing:
+			c.synced.Wait()
+			continue
+		}
+		f, target := c.file, c.appended
+		c.syncing = true
+		c.mu.Unlock()
+		err := d.fsync(f)
+		c.mu.Lock()
+		c.syncing = false
+		if err == nil {
+			d.markDurable(target)
+		}
+		c.synced.Broadcast()
+	}
 	return nil
 }
 
@@ -270,9 +380,9 @@ func (d *Dir) rotate() error {
 	sealed := d.active
 	if err := d.writeHint(sealedID); err != nil {
 		// The segment itself is durable; a hint failure only loses the
-		// fast-recovery path. Device-dead errors stay sticky via write().
-		if d.failed != nil {
-			return d.failed
+		// fast-recovery path. Device-dead errors stay sticky.
+		if err := d.err(); err != nil {
+			return err
 		}
 	}
 	// Keep the sealed handle for reads.
@@ -281,8 +391,7 @@ func (d *Dir) rotate() error {
 	d.activeID++
 	f, err := os.OpenFile(d.segPath(d.activeID), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		d.failed = fmt.Errorf("spill: %w", err)
-		return d.failed
+		return d.fail(fmt.Errorf("spill: %w", err))
 	}
 	d.active = f
 	d.activeSize = 0
@@ -301,19 +410,7 @@ func (d *Dir) writeHint(id uint32) error {
 	}
 	werr := d.write(f, 0, buf)
 	if werr == nil {
-		if d.opts.Shim != nil {
-			if err := d.opts.Shim.Sync(f.Name()); err != nil {
-				d.failed = err
-				werr = err
-			}
-		}
-	}
-	if werr == nil {
-		if err := f.Sync(); err != nil {
-			werr = fmt.Errorf("spill: %w", err)
-		} else {
-			d.n.fsyncs.Add(1)
-		}
+		werr = d.fsync(f)
 	}
 	if cerr := f.Close(); cerr != nil && werr == nil {
 		werr = fmt.Errorf("spill: %w", cerr)
@@ -387,7 +484,7 @@ func (d *Dir) readerFor(id uint32) (*os.File, error) {
 	return f, nil
 }
 
-// Seq returns the newest assigned log sequence number.
+// Seq returns the sequence number of the newest appended record.
 func (d *Dir) Seq() uint64 { return d.seq }
 
 // Stats returns a snapshot of the tier's counters.
@@ -415,10 +512,19 @@ func (d *Dir) Recovery() *RecoveryReport { return d.recovery }
 // an explicit shutdown-path Close (the cxlserve drain path) — a second
 // Close must never double-close file descriptors or report a spurious
 // error. Other methods are NOT safe after Close; only Close itself may
-// be repeated.
+// be repeated, and SyncThrough answers for what Close made durable and
+// fails for anything else.
 func (d *Dir) Close() error {
+	// Wait out an in-flight SyncThrough leader before its file closes;
+	// later callers find the Dir closed.
+	d.c.mu.Lock()
+	for d.c.syncing {
+		d.c.synced.Wait()
+	}
+	d.c.file = nil
+	d.c.mu.Unlock()
 	var first error
-	if d.failed == nil && d.active != nil {
+	if d.err() == nil && d.active != nil {
 		first = d.Sync()
 	}
 	if d.active != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cxlsim/internal/obs"
@@ -339,5 +340,98 @@ func TestWriteAmplification(t *testing.T) {
 	// framing overhead, a hair above 1.
 	if wa <= 1.0 || wa > 1.1 {
 		t.Fatalf("write amplification %v out of range", wa)
+	}
+}
+
+// TestSyncThroughSemantics pins SyncThrough's contract on a deferred-sync
+// tier: one fsync covers everything appended before it, a covered seq
+// returns without another fsync, an unappended seq is an error, and a
+// closed Dir still answers for what Close made durable.
+func TestSyncThroughSemantics(t *testing.T) {
+	d, _ := mustOpen(t, spill.Options{Dir: t.TempDir(), SyncEvery: -1})
+	var seqs []uint64
+	for i := 0; i < 3; i++ {
+		if err := d.Put(key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, d.Seq())
+	}
+	if got := d.Stats().Fsyncs; got != 0 {
+		t.Fatalf("deferred-sync puts fsynced %d times", got)
+	}
+	if err := d.SyncThrough(seqs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Fsyncs; got != 1 {
+		t.Fatalf("fsyncs after first SyncThrough = %d, want 1", got)
+	}
+	// The fsync covered everything appended, seqs[2] included.
+	if err := d.SyncThrough(seqs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Fsyncs; got != 1 {
+		t.Fatalf("covered SyncThrough fsynced again: %d", got)
+	}
+	if err := d.SyncThrough(seqs[2] + 1); err == nil {
+		t.Fatal("SyncThrough past the newest append succeeded")
+	}
+	if err := d.Put(key(3), val(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SyncThrough(d.Seq()); err != nil {
+		t.Fatalf("SyncThrough of a record Close made durable: %v", err)
+	}
+}
+
+// TestSyncThroughConcurrentWriters runs free-running writers that append
+// under one mutex and commit outside it (run under -race): every commit
+// succeeds, no record costs more than one fsync (rotations add a segment
+// and a hint fsync each), and every committed value recovers.
+func TestSyncThroughConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := mustOpen(t, spill.Options{Dir: dir, SegmentBytes: 4 << 10, SyncEvery: -1})
+	const writers, perWriter = 4, 200
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := w*perWriter + i
+				mu.Lock()
+				err := d.Put(key(k), val(k, 0))
+				seq := d.Seq()
+				mu.Unlock()
+				if err == nil {
+					err = d.SyncThrough(seq)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := d.Stats()
+	if st.RecordsWritten != writers*perWriter || st.Fsyncs == 0 || st.Fsyncs > st.RecordsWritten+2*uint64(st.Segments) {
+		t.Fatalf("records=%d fsyncs=%d segments=%d", st.RecordsWritten, st.Fsyncs, st.Segments)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, rep := mustOpen(t, spill.Options{Dir: dir})
+	defer d2.Close()
+	if rep.LiveKeys != writers*perWriter {
+		t.Fatalf("recovered %d keys, want %d", rep.LiveKeys, writers*perWriter)
+	}
+	for k := 0; k < writers*perWriter; k++ {
+		if v, ok, err := d2.Get(key(k)); err != nil || !ok || !bytes.Equal(v, val(k, 0)) {
+			t.Fatalf("key %d: %q ok=%v err=%v", k, v, ok, err)
+		}
 	}
 }
