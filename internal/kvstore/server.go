@@ -752,12 +752,14 @@ func (d *Deployment) RunConfigWithFaults(mix workload.YCSBMix, seed int64, s *fa
 // Warm drives the deployment to its steady state before measurement: it
 // replays epochs of workload heat and daemon ticks without the DES, the
 // way the paper lets each configuration run until placement converges
-// before recording. No-op for daemon-less configurations.
+// before recording. Each epoch's keys are drawn as one batch
+// (keyStream). No-op for daemon-less configurations.
 func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed int64) {
 	if d.Daemon == nil {
 		return
 	}
-	gen := workload.NewYCSB(mix, uint64(d.Store.cfg.SimKeys), seed)
+	n := uint64(d.Store.cfg.SimKeys)
+	keys := newKeyStream(mix, n, seed)
 	space := d.Store.Space()
 	// Each epoch's draws per page, applied in page order by TouchCounts.
 	counts := make([]uint32, len(space.Pages))
@@ -767,9 +769,8 @@ func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed 
 	var now sim.Time
 	for e := 0; e < epochs; e++ {
 		now += epochNs
-		for i := 0; i < drawsPerEpoch; i++ {
-			op := gen.Next()
-			counts[d.Store.pageOf(op.Key%uint64(d.Store.cfg.SimKeys))]++
+		for _, key := range keys.next(drawsPerEpoch) {
+			counts[d.Store.pageOf(key%n)]++
 		}
 		space.TouchCounts(counts, weight)
 		d.Daemon.Tick(now, space, d.Alloc)

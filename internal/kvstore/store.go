@@ -211,16 +211,55 @@ func (s *Store) WarmCache(mix workload.YCSBMix, draws int, seed int64) {
 	if !s.cfg.Flash {
 		return
 	}
-	gen := workload.NewYCSB(mix, uint64(s.cfg.SimKeys), seed)
-	for i := 0; i < draws; i++ {
-		key := gen.Next().Key % uint64(s.cfg.SimKeys)
-		if s.resident[key] {
-			s.clockRef[key] = 1
-		} else {
-			s.admit(key)
+	n := uint64(s.cfg.SimKeys)
+	keys := newKeyStream(mix, n, seed)
+	for left := draws; left > 0; left -= warmCacheBatch {
+		for _, key := range keys.next(min(left, warmCacheBatch)) {
+			key %= n
+			if s.resident[key] {
+				s.clockRef[key] = 1
+			} else {
+				s.admit(key)
+			}
 		}
 	}
 	s.hits, s.misses = 0, 0
+}
+
+// warmCacheBatch is how many keys WarmCache draws at a time.
+const warmCacheBatch = 1 << 16
+
+// keyStream is the key stream of workload.NewYCSB(mix, n, seed) with the
+// op kinds thrown away, as warm-ups replay it. When the mix allows
+// (YCSB.ScrambledKeys) each batch's Zipfian inversions fan out over
+// GOMAXPROCS; otherwise the keys come from serial YCSB.Next calls. The
+// keys are the same either way.
+type keyStream struct {
+	gen  *workload.YCSB
+	z    *workload.ScrambledZipfian // non-nil: draw in batches
+	keys []uint64
+}
+
+func newKeyStream(mix workload.YCSBMix, n uint64, seed int64) *keyStream {
+	gen := workload.NewYCSB(mix, n, seed)
+	return &keyStream{gen: gen, z: gen.ScrambledKeys()}
+}
+
+// next returns the stream's next k keys in a slice the following call
+// reuses.
+func (ks *keyStream) next(k int) []uint64 {
+	if cap(ks.keys) < k {
+		ks.keys = make([]uint64, k)
+	}
+	keys := ks.keys[:k]
+	if ks.z != nil {
+		ks.z.Fill(keys, 0)
+		return keys
+	}
+	for i := range keys {
+		keys[i] = ks.gen.Next().Key
+	}
+	return keys
 }
 
 // Space exposes the heap for tiering daemons.

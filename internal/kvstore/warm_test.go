@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cxlsim/internal/sim"
 	"cxlsim/internal/workload"
 )
 
@@ -47,6 +48,99 @@ func TestLoadWarmMatchesWarm(t *testing.T) {
 	}
 	if direct.Migrated == 0 {
 		t.Fatal("the run migrated nothing: the comparison does not exercise the daemon")
+	}
+}
+
+// warmSerial is Warm drawing every key with YCSB.Next: the reference the
+// batched key stream must reproduce.
+func warmSerial(d *Deployment, mix workload.YCSBMix, epochs, drawsPerEpoch int, seed int64) {
+	gen := workload.NewYCSB(mix, uint64(d.Store.cfg.SimKeys), seed)
+	space := d.Store.Space()
+	counts := make([]uint32, len(space.Pages))
+	weight := d.Store.depth + valueLines
+	var now sim.Time
+	for e := 0; e < epochs; e++ {
+		now += epochNs
+		for i := 0; i < drawsPerEpoch; i++ {
+			op := gen.Next()
+			counts[d.Store.pageOf(op.Key%uint64(d.Store.cfg.SimKeys))]++
+		}
+		space.TouchCounts(counts, weight)
+		d.Daemon.Tick(now, space, d.Alloc)
+		space.DecayHeat(0.5)
+	}
+	d.warmDraws += epochs * drawsPerEpoch
+}
+
+// TestWarmMatchesSerial: Warm's batched draws (YCSB-A) and its serial
+// path (YCSB-D, which inserts) reach the warm state of the draw-by-draw
+// reference loop.
+func TestWarmMatchesSerial(t *testing.T) {
+	for _, mix := range []workload.YCSBMix{workload.YCSBA, workload.YCSBD} {
+		ref, err := Deploy(ConfHotPromote, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSerial(ref, mix, 8, 50_000, 7)
+		if got, want := warmed(t, mix).SaveWarm(), ref.SaveWarm(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Warm state differs from the serial reference", mix.Name)
+		}
+	}
+}
+
+// warmCacheSerial is WarmCache drawing every key with YCSB.Next.
+func warmCacheSerial(s *Store, mix workload.YCSBMix, draws int, seed int64) {
+	gen := workload.NewYCSB(mix, uint64(s.cfg.SimKeys), seed)
+	for i := 0; i < draws; i++ {
+		key := gen.Next().Key % uint64(s.cfg.SimKeys)
+		if s.resident[key] {
+			s.clockRef[key] = 1
+		} else {
+			s.admit(key)
+		}
+	}
+	s.hits, s.misses = 0, 0
+}
+
+// TestWarmCacheMatchesSerial: WarmCache's batched draws (YCSB-A) and its
+// serial path (YCSB-D) leave the CLOCK cache exactly as the draw-by-draw
+// reference does, over a draw count that ends in a partial batch.
+func TestWarmCacheMatchesSerial(t *testing.T) {
+	const draws = 3*warmCacheBatch + 123
+	for _, mix := range []workload.YCSBMix{workload.YCSBA, workload.YCSBD} {
+		var st [2]*Store
+		for i := range st {
+			d, err := Deploy(ConfMMEMSSD04, fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st[i] = d.Store
+		}
+		st[0].WarmCache(mix, draws, 991)
+		warmCacheSerial(st[1], mix, draws, 991)
+		got, want := st[0], st[1]
+		if !reflect.DeepEqual(got.resident, want.resident) || !reflect.DeepEqual(got.clockRef, want.clockRef) ||
+			got.clockHand != want.clockHand || got.memKeys != want.memKeys {
+			t.Errorf("%s: WarmCache state differs from the serial reference (hand %d/%d, keys %d/%d)",
+				mix.Name, got.clockHand, want.clockHand, got.memKeys, want.memKeys)
+		}
+		if want.clockHand == 0 {
+			t.Errorf("%s: the reference evicted nothing: the comparison does not exercise CLOCK", mix.Name)
+		}
+	}
+}
+
+// BenchmarkWarmCache times Run's Flash warm-up at paper scale: 4 × 1<<20
+// YCSB-A draws on MMEM-SSD-0.4.
+func BenchmarkWarmCache(b *testing.B) {
+	d, err := Deploy(ConfMMEMSSD04, DeployOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Store.WarmCache(workload.YCSBA, 4*d.Store.SimKeys(), 991)
 	}
 }
 

@@ -2,10 +2,10 @@
 // worker pool that runs index-addressed work and leaves result placement
 // to the caller, so output order never depends on scheduling. Every
 // parallel loop in the experiment stack (mlc sweeps, the llm thread
-// sweep, core's per-config loops and RunAll) goes through ForEach with
-// results written to index i of a pre-sized slice — which is why the
-// parallel experiment harness produces byte-identical tables to serial
-// runs.
+// sweep, core's per-config loops and RunAll, warm-up key batches) goes
+// through ForEach with results written to index i of a pre-sized slice —
+// which is why the parallel experiment harness produces byte-identical
+// tables to serial runs.
 package par
 
 import (

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 
 	"cxlsim/internal/topology"
 )
@@ -317,6 +318,7 @@ func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
 	if err != nil {
 		return err
 	}
+	s.Pages = slices.Grow(s.Pages, len(placed))
 	for _, n := range placed {
 		a.used[n.ID] += s.PageSize
 		// New pages are born current: decay epochs before allocation do

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+
+	"cxlsim/internal/par"
 )
 
 // Generator produces item indices in [0, n) under some distribution.
@@ -80,10 +83,10 @@ func NewZipfianTheta(n uint64, theta float64, seed int64) *Zipfian {
 		theta: theta,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	z.zeta2theta = zetaStatic(2, theta)
+	z.zeta2theta = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.halfTheta = math.Pow(0.5, theta)
-	z.zetan = zetaStatic(n, theta)
+	z.zetan = zeta(n, theta)
 	z.countForZ = n
 	z.eta = z.etaVal()
 	return z
@@ -93,9 +96,31 @@ func (z *Zipfian) etaVal() float64 {
 	return (1 - math.Pow(2/float64(z.n), 1-z.theta)) / (1 - z.zeta2theta/z.zetan)
 }
 
+// zetaKey identifies one generalized harmonic number in zetaMemo.
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zetaMemo holds zetaStatic's result per (n, theta) for the life of the
+// process. cxlsim builds many generators over a handful of item counts,
+// and each sum costs n math.Pow calls (~75 ms at 1<<20).
+var zetaMemo sync.Map // zetaKey → float64
+
+// zeta is zetaStatic, computed once per (n, theta) per process.
+// Concurrent first calls may each compute the sum; they agree bit for bit.
+func zeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetaMemo.Load(k); ok {
+		return v.(float64)
+	}
+	v, _ := zetaMemo.LoadOrStore(k, zetaStatic(n, theta))
+	return v.(float64)
+}
+
 // zetaStatic computes the n-th generalized harmonic number sum_{i=1..n}
-// 1/i^theta. O(n); fine for the item counts cxlsim uses (≤ tens of
-// millions) and computed once per generator.
+// 1/i^theta in index order, the order grow continues, so a grown
+// generator matches one built at the larger size bit for bit. O(n).
 func zetaStatic(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
@@ -105,8 +130,12 @@ func zetaStatic(n uint64, theta float64) float64 {
 }
 
 // Next returns a Zipfian-distributed index; 0 is the hottest item.
-func (z *Zipfian) Next() uint64 {
-	u := z.rng.Float64()
+func (z *Zipfian) Next() uint64 { return z.at(z.rng.Float64()) }
+
+// at inverts the distribution at the uniform draw u ∈ [0, 1): Next
+// without the RNG. It reads only fixed state, so batches may call it
+// from several goroutines.
+func (z *Zipfian) at(u float64) uint64 {
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
@@ -151,6 +180,28 @@ func NewScrambledZipfian(n uint64, seed int64) *ScrambledZipfian {
 // Next returns a hashed Zipfian index: same skew, no key-order locality.
 func (s *ScrambledZipfian) Next() uint64 {
 	return fnvHash64(s.z.Next()) % s.n
+}
+
+// fillChunk is the number of keys one Fill work item inverts: large
+// enough to amortize the hand-off, small enough to balance the workers.
+const fillChunk = 4096
+
+// Fill sets keys to the next len(keys) draws and leaves the generator
+// where len(keys) calls to Next would. The uniform draws stay serial on
+// the generator's RNG; each is parked in its key slot as float64 bits,
+// then the inversion and hash, pure functions of the draw, run over
+// fixed-size chunks on up to workers goroutines (par.Workers-normalized).
+// The result does not depend on workers.
+func (s *ScrambledZipfian) Fill(keys []uint64, workers int) {
+	for i := range keys {
+		keys[i] = math.Float64bits(s.z.rng.Float64())
+	}
+	par.ForEach((len(keys)+fillChunk-1)/fillChunk, workers, func(c int) {
+		chunk := keys[c*fillChunk : min((c+1)*fillChunk, len(keys))]
+		for i, bits := range chunk {
+			chunk[i] = fnvHash64(s.z.at(math.Float64frombits(bits))) % s.n
+		}
+	})
 }
 
 // N returns the item-space size.

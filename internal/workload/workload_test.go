@@ -286,6 +286,17 @@ func BenchmarkScrambledZipfianNext(b *testing.B) {
 	}
 }
 
+// BenchmarkScrambledZipfianFill is BenchmarkScrambledZipfianNext in
+// warm-up-sized batches over GOMAXPROCS workers; ns/op is per key.
+func BenchmarkScrambledZipfianFill(b *testing.B) {
+	z := NewScrambledZipfian(1<<20, 1)
+	keys := make([]uint64, 1<<16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += len(keys) {
+		z.Fill(keys[:min(len(keys), b.N-i)], 0)
+	}
+}
+
 func BenchmarkYCSBNext(b *testing.B) {
 	y := NewYCSB(YCSBA, 1<<20, 1)
 	for i := 0; i < b.N; i++ {

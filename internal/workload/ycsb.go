@@ -85,6 +85,21 @@ func NewYCSB(mix YCSBMix, n uint64, seed int64) *YCSB {
 	return y
 }
 
+// ScrambledKeys returns the generator behind y's key stream when the mix
+// draws exactly one key from it per op: a Zipfian distribution and no
+// inserts. That generator is seeded apart from the op kinds, so a caller
+// that throws the op kinds away (a warm-up) may draw the keys straight
+// from it, in batches with Fill, and see the keys Next would return.
+// Drawing from it desynchronizes y, which the caller must not use after.
+// Nil for the latest distribution and for mixes with inserts.
+func (y *YCSB) ScrambledKeys() *ScrambledZipfian {
+	z, ok := y.keys.(*ScrambledZipfian)
+	if !ok || y.mix.Insert != 0 {
+		return nil
+	}
+	return z
+}
+
 // Mix returns the workload definition.
 func (y *YCSB) Mix() YCSBMix { return y.mix }
 
