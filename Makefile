@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-fault race-shard check bench-build bench-cxlperf-build bench-cxlperf-test bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+.PHONY: all build fmt vet test race race-fault race-shard check bench-build bench-cxlperf-build bench-cxlperf-test report-smoke crash-matrix fuzz-smoke resp-smoke
 
 all: build
 
@@ -49,10 +49,10 @@ race-shard:
 # running it, so bit-rot in bench code fails the gate cheaply), a vet of
 # the bench/cxlperf module (which imports internal packages, so an API
 # deletion that breaks it fails here) and its own test (table digests
-# against its goldens and RESP reply checks), a smoke of the
-# bench-compare tooling (parses the committed baseline without running
-# any benchmark), and the report determinism smoke.
-check: fmt vet build race-fault race-shard race bench-build bench-cxlperf-build bench-cxlperf-test bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+# against its goldens and RESP reply checks), and the report determinism
+# smoke. bench/cxlperf is the only performance instrument: the `go test
+# -bench` functions are profiling entry points, compiled but not gated.
+check: fmt vet build race-fault race-shard race bench-build bench-cxlperf-build bench-cxlperf-test report-smoke crash-matrix fuzz-smoke resp-smoke
 
 # resp-smoke is the end-to-end serving gate: it builds the real cxlserve
 # binary, starts it with the RESP front end and durable spill tier on
@@ -100,30 +100,6 @@ bench-cxlperf-build:
 # alter simulated output or the wire fail here.
 bench-cxlperf-test:
 	$(GO) -C bench/cxlperf test .
-
-# The gate benchmarks: the paper-figure end-to-end runs whose hot loops
-# this repo optimizes, the timing-wheel kernel microbenchmarks, and the
-# sharded cluster run. Kept narrow so bench-compare stays a few minutes.
-GATE_BENCH := BenchmarkFig8CXLOnlyKeyDB|BenchmarkFig10LLMInference|BenchmarkWheelSteadyState64|BenchmarkWheelSteadyState4096|BenchmarkWheelCancelHeavy|BenchmarkShardedYCSB
-GATE_BENCH_PKGS := . ./internal/sim
-
-# bench-compare reruns the gate benchmarks (count=5, median) and fails
-# when any regresses ns/op more than 10% against the committed baseline,
-# or when a baseline benchmark is missing from the run.
-bench-compare:
-	$(GO) test -run=NoSuchTest -bench='$(GATE_BENCH)' -benchmem -count=5 $(GATE_BENCH_PKGS) > /tmp/bench-compare.txt
-	$(GO) run ./cmd/benchdiff -threshold 10 bench/BASELINE.txt /tmp/bench-compare.txt
-
-# bench-baseline refreshes the committed baseline after an intentional
-# performance change (commit the result).
-bench-baseline:
-	$(GO) test -run=NoSuchTest -bench='$(GATE_BENCH)' -benchmem -count=5 $(GATE_BENCH_PKGS) > bench/BASELINE.txt
-
-# bench-compare-smoke exercises the comparison tool against the
-# committed baseline without running any benchmark: it proves the
-# baseline still parses and the tool builds, cheap enough for `check`.
-bench-compare-smoke:
-	$(GO) run ./cmd/benchdiff bench/BASELINE.txt bench/BASELINE.txt > /dev/null
 
 # report-smoke builds cxlreport, renders the committed fixture run dumps,
 # and fails on any byte difference from the committed golden report —

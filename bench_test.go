@@ -1,10 +1,12 @@
 // Package cxlsim's root benchmark harness regenerates every table and
 // figure in the paper's evaluation. Each benchmark prints the rows the
 // paper reports under -v (`go test -v -bench=. -benchmem`); without -v
-// the output is pure benchmark result lines, parseable by benchstat and
-// cmd/benchdiff. The wall-clock numbers testing.B reports measure the
-// simulator, while the printed tables carry the reproduced results;
-// claims_test.go checks those results against the paper.
+// the output is pure benchmark result lines, parseable by benchstat.
+// The benchmarks are profiling entry points (-cpuprofile, -memprofile):
+// the wall-clock numbers testing.B reports measure the simulator, but
+// bench/cxlperf is the instrument that tracks simulator cost. The printed
+// tables carry the reproduced results; claims_test.go checks those
+// results against the paper.
 package cxlsim_test
 
 import (
@@ -18,8 +20,8 @@ import (
 
 // report runs a core experiment once per benchmark (printing the table
 // on the first iteration, under -v only — table output mid-benchmark
-// splits the testing framework's result lines, which breaks
-// benchstat/benchdiff parsing).
+// splits the testing framework's result lines, which breaks benchstat
+// parsing).
 func report(b *testing.B, id string, opt core.Options) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -124,7 +126,8 @@ func BenchmarkCXL2Pooling(b *testing.B) {
 // BenchmarkShardedYCSB runs the 4-node KeyDB cluster on 4 shards: the
 // end-to-end cost of the conservative-lookahead kernel including the
 // per-epoch fan-out/merge. Output is byte-identical to a 1-shard run
-// (see internal/kvstore cluster tests); this gates its wall-clock.
+// (see internal/kvstore cluster tests). bench/cxlperf tracks the same
+// cluster's wall clock as core.shard.wall_s.
 func BenchmarkShardedYCSB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := kvstore.RunCluster(kvstore.ClusterConfig{

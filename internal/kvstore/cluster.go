@@ -166,8 +166,15 @@ func (cl *clusterRun) respondTimeout(rl *runLoop, p pendingOp, now sim.Time) {
 // results, the merged result, and the merged metrics registry — is
 // byte-identical at any Shards setting.
 func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
+	res, _, err := runCluster(cc)
+	return res, err
+}
+
+// runCluster is RunCluster, also returning the fabric state with every
+// node's finished run loop.
+func runCluster(cc ClusterConfig) (*ClusterResult, *clusterRun, error) {
 	if err := cc.fill(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	se := sim.NewSharded(cc.Nodes, cc.Shards, hop)
 	cl := &clusterRun{
@@ -182,7 +189,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	for i := 0; i < cc.Nodes; i++ {
 		d, err := Deploy(cc.Config, cc.Deploy)
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
+			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		seed := cc.Seed + 7919*int64(i)
 		if cc.WarmEpochs > 0 && cc.WarmDraws > 0 {
@@ -190,7 +197,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		}
 		rc, err := d.RunConfigWithFaults(cc.Mix, seed, cc.FaultSchedule)
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
+			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		rc.Ops = cc.OpsPerNode
 		if cc.Metrics != nil {
@@ -255,5 +262,5 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		merged.HitRate = float64(hits) / float64(hits+misses)
 	}
 	res.Merged = merged
-	return res, nil
+	return res, cl, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"cxlsim/internal/fault"
 	"cxlsim/internal/obs"
+	"cxlsim/internal/sim"
 	"cxlsim/internal/workload"
 )
 
@@ -154,4 +155,49 @@ func firstClusterDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("length %d vs %d lines", len(al), len(bl))
+}
+
+// TestDispatchQueueStaysBounded: a saturated closed loop never drains its
+// dispatch queue, so the queue must compact as it goes. Its capacity is
+// bounded by the ops that can be live at once — every client's op on a
+// node, and in a cluster also the ops forwarded from the other nodes —
+// not by the run's length. Retries requeue through the same queue.
+func TestDispatchQueueStaysBounded(t *testing.T) {
+	for _, ops := range []int{2_000, 8_000} {
+		d, err := Deploy(ConfInter11, DeployOptions{SimKeys: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := d.RunConfigWithFaults(workload.YCSBC, 42, cxlFaultSchedule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.Ops = ops
+		rc.fill()
+		eng := sim.NewEngine()
+		sr := startRun(eng, d.Store, d.Alloc, &rc, nil, 0)
+		for sr.rl.completed < sr.rl.totalOps && eng.Step() {
+		}
+		if res := sr.finish(eng.Now()); res.Retries == 0 {
+			t.Fatal("fault run requeued no retries; the requeue path is untested")
+		}
+		if c := cap(sr.rl.queue); c > 4*clientThreads {
+			t.Errorf("single node, %d ops: queue capacity %d, want ≤ %d", ops, c, 4*clientThreads)
+		}
+
+		cc := smallCluster(3, 1)
+		cc.OpsPerNode = ops
+		res, cl, err := runCluster(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Merged.Forwarded == 0 {
+			t.Fatal("no ops crossed the fabric; the forward path is untested")
+		}
+		for i, rl := range cl.nodes {
+			if c := cap(rl.queue); c > 4*cc.Nodes*clientThreads {
+				t.Errorf("cluster node %d, %d ops: queue capacity %d, want ≤ %d", i, ops, c, 4*cc.Nodes*clientThreads)
+			}
+		}
+	}
 }

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"testing"
 
+	"cxlsim/internal/fault"
+	"cxlsim/internal/obs"
 	"cxlsim/internal/topology"
 	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
@@ -79,5 +81,46 @@ func TestResultP99Accessor(t *testing.T) {
 	res := Run(d.Store, d.Alloc, rc)
 	if p99Ms := res.Latency.Percentile(99) / 1e6; p99Ms <= 0 {
 		t.Fatalf("p99 = %v ms, want positive", p99Ms)
+	}
+}
+
+// TestInstrumentedDaemonEvacuatesDegradedNode: a fault run with metrics
+// wraps the Hot-Promote daemon in obs.InstrumentDaemon. The wrapper must
+// still carry the fault injector's health, so pages leave the degraded
+// CXL node exactly as they do in an uninstrumented run.
+func TestInstrumentedDaemonEvacuatesDegradedNode(t *testing.T) {
+	degraded := &fault.Schedule{Faults: []fault.Fault{
+		{At: 0, Duration: 1e9, Kind: fault.LinkDegrade, Target: "/cxl0", Severity: 0.7},
+	}}
+	// cxl0Pages runs Hot-Promote under sched and counts the pages left on
+	// the first CXL node; a non-nil reg instruments the daemon.
+	cxl0Pages := func(sched *fault.Schedule, reg *obs.Registry) int {
+		d, err := Deploy(ConfHotPromote, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := d.RunConfigWithFaults(workload.YCSBC, 42, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.Ops = 20_000
+		rc.Metrics = reg
+		Run(d.Store, d.Alloc, rc)
+		n := 0
+		for i := range d.Store.Space().Pages {
+			if d.Store.Space().Pages[i].Node == d.Tiers.Slow[0] {
+				n++
+			}
+		}
+		return n
+	}
+	healthy := cxl0Pages(nil, obs.NewRegistry())
+	wrapped := cxl0Pages(degraded, obs.NewRegistry())
+	plain := cxl0Pages(degraded, nil)
+	if wrapped >= healthy {
+		t.Fatalf("instrumented daemon left %d pages on the degraded node, %d in a healthy run; it lost its health source", wrapped, healthy)
+	}
+	if wrapped != plain {
+		t.Fatalf("instrumented daemon left %d pages on the degraded node, the bare daemon %d", wrapped, plain)
 	}
 }

@@ -226,8 +226,8 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		if rc.Tracer != nil {
 			rc.Faults.SetTracer(rc.Tracer)
 		}
-		if hs, ok := daemon.(tiering.HealthSetter); ok {
-			hs.SetHealth(rc.Faults)
+		if daemon != nil {
+			daemon.SetHealth(rc.Faults)
 		}
 		rc.Tiers.Health = rc.Faults
 	}
@@ -500,12 +500,16 @@ func (rl *runLoop) dispatch(now sim.Time) {
 	}
 }
 
-// advanceHead consumes the queue head, rewinding the backing array once
-// drained so steady-state operation reuses it.
+// advanceHead consumes the queue head. Once the consumed prefix is at
+// least half the slice, the live tail moves down to the front in order:
+// a saturated closed loop never drains its queue, and without compaction
+// the backing array would grow to every op of the run. Every append to
+// the queue is consumed here, so its capacity stays O(live ops).
 func (rl *runLoop) advanceHead() {
 	rl.head++
-	if rl.head == len(rl.queue) {
-		rl.queue = rl.queue[:0]
+	if 2*rl.head >= len(rl.queue) {
+		n := copy(rl.queue, rl.queue[rl.head:])
+		rl.queue = rl.queue[:n]
 		rl.head = 0
 	}
 }
@@ -525,25 +529,10 @@ func (rl *runLoop) clientTimeout(p pendingOp, now sim.Time, slot uint64, svc flo
 		rl.cl.respondTimeout(rl, p, now)
 		return
 	}
-	rl.res.Timeouts++
 	deadline := now + sim.Time(rl.timeoutNs)
-	p.attempt++
-	if p.attempt > rl.maxRetries {
+	if !rl.retry(p, deadline) {
 		rl.eng.At(deadline, rl.finishFailed)
-		return
 	}
-	rl.res.Retries++
-	backoff := rl.backoffNs * float64(uint64(1)<<uint(p.attempt-1))
-	if rl.backoffH != nil {
-		rl.backoffH.Observe(backoff)
-	}
-	pp := p
-	rl.eng.At(deadline+sim.Time(backoff), func(t sim.Time) { rl.requeue(pp, t) })
-}
-
-func (rl *runLoop) requeue(p pendingOp, now sim.Time) {
-	rl.queue = append(rl.queue, p)
-	rl.dispatch(now)
 }
 
 // remoteTimedOut runs on the origin when a timeout notification arrives
@@ -553,20 +542,35 @@ func (rl *runLoop) requeue(p pendingOp, now sim.Time) {
 // destination — the owner does not change — and clears fromRemote so
 // dispatch re-forwards it.
 func (rl *runLoop) remoteTimedOut(p pendingOp, now sim.Time) {
+	p.fromRemote = false
+	if !rl.retry(p, now) {
+		rl.finishFailed(now)
+	}
+}
+
+// retry is the client's bookkeeping for an attempt of p that timed out,
+// with the client learning of it at virtual time at. It counts the
+// timeout and, while p has retries left, requeues p after an exponential
+// backoff from at. It reports false when p has exhausted its retries;
+// the caller then fails the op.
+func (rl *runLoop) retry(p pendingOp, at sim.Time) bool {
 	rl.res.Timeouts++
 	p.attempt++
 	if p.attempt > rl.maxRetries {
-		rl.finishFailed(now)
-		return
+		return false
 	}
 	rl.res.Retries++
 	backoff := rl.backoffNs * float64(uint64(1)<<uint(p.attempt-1))
 	if rl.backoffH != nil {
 		rl.backoffH.Observe(backoff)
 	}
-	p.fromRemote = false
-	pp := p
-	rl.eng.At(now+sim.Time(backoff), func(t sim.Time) { rl.requeue(pp, t) })
+	rl.eng.At(at+sim.Time(backoff), func(t sim.Time) { rl.requeue(p, t) })
+	return true
+}
+
+func (rl *runLoop) requeue(p pendingOp, now sim.Time) {
+	rl.queue = append(rl.queue, p)
+	rl.dispatch(now)
 }
 
 // finishFailed finally completes an op that exhausted its retries. The
@@ -801,7 +805,7 @@ func WarmKey(mix workload.YCSBMix) workload.YCSBMix {
 // store's key-sampling RNG.
 type WarmState struct {
 	placement *vmm.Placement
-	used      map[int]uint64
+	used      []uint64
 	threshold float64
 	draws     int
 }

@@ -168,14 +168,11 @@ func InstrumentSolveCache(reg *Registry) {
 	})
 }
 
-// thresholder is implemented by daemons with a dynamic promote threshold
-// (tiering.HotPromote).
-type thresholder interface{ CurrentThreshold() float64 }
-
 // instrumentedDaemon decorates a tiering daemon with per-tick metrics
-// and trace spans.
+// and trace spans. Every Daemon method but Tick is promoted from the
+// wrapped daemon, so instrumentation never hides its health source.
 type instrumentedDaemon struct {
-	inner    tiering.Daemon
+	tiering.Daemon
 	promoted *Counter
 	demoted  *Counter
 	migrated *Counter
@@ -194,58 +191,40 @@ func InstrumentDaemon(d tiering.Daemon, reg *Registry, tr *Tracer) tiering.Daemo
 	if d == nil || (reg == nil && tr == nil) {
 		return d
 	}
-	id := &instrumentedDaemon{inner: d, tracer: tr}
+	id := &instrumentedDaemon{Daemon: d, tracer: tr}
 	if reg != nil {
 		name := d.Name()
 		id.promoted = reg.CounterVec(MetricTierPromotedPages, "pages promoted to the fast tier", "policy").With(name)
 		id.demoted = reg.CounterVec(MetricTierDemotedPages, "pages demoted to the slow tier", "policy").With(name)
 		id.migrated = reg.CounterVec(MetricTierMigratedBytes, "total page-migration traffic, bytes", "policy").With(name)
-		if _, ok := d.(thresholder); ok {
-			id.thresh = reg.GaugeVec(MetricTierThreshold, "current hot-page promotion threshold (accesses/epoch)", "policy").With(name)
-		}
+		id.thresh = reg.GaugeVec(MetricTierThreshold, "current hot-page promotion threshold (accesses/epoch)", "policy").With(name)
 	}
 	return id
 }
 
-// Name implements tiering.Daemon.
-func (d *instrumentedDaemon) Name() string { return d.inner.Name() }
-
-// SetHealth forwards to the wrapped daemon when it accepts a health
-// source, so instrumentation does not hide fault-awareness.
-func (d *instrumentedDaemon) SetHealth(h tiering.Health) {
-	if hs, ok := d.inner.(tiering.HealthSetter); ok {
-		hs.SetHealth(h)
-	}
-}
-
 // Tick implements tiering.Daemon.
 func (d *instrumentedDaemon) Tick(now sim.Time, space *vmm.Space, alloc *vmm.Allocator) tiering.Report {
-	rep := d.inner.Tick(now, space, alloc)
+	rep := d.Daemon.Tick(now, space, alloc)
 	if d.promoted != nil {
 		d.promoted.Add(float64(rep.PromotedPages))
 		d.demoted.Add(float64(rep.DemotedPages))
 		d.migrated.Add(float64(rep.TotalBytes()))
 	}
-	var threshold float64
-	if th, ok := d.inner.(thresholder); ok {
-		threshold = th.CurrentThreshold()
-		if d.thresh != nil {
-			d.thresh.Set(threshold)
-		}
+	threshold := d.CurrentThreshold()
+	if d.thresh != nil {
+		d.thresh.Set(threshold)
 	}
 	if d.tracer != nil {
 		args := map[string]any{
 			"promoted_pages": rep.PromotedPages,
 			"demoted_pages":  rep.DemotedPages,
 			"migrated_bytes": rep.TotalBytes(),
-		}
-		if threshold > 0 {
-			args["threshold"] = threshold
+			"threshold":      threshold,
 		}
 		if d.ticked {
-			d.tracer.Span("tiering", d.inner.Name(), d.prevTick, now, args)
+			d.tracer.Span("tiering", d.Name(), d.prevTick, now, args)
 		} else {
-			d.tracer.Instant("tiering", d.inner.Name(), now, args)
+			d.tracer.Instant("tiering", d.Name(), now, args)
 		}
 		if rep.TotalBytes() > 0 {
 			d.tracer.Counter("tiering", "migration", now, map[string]float64{

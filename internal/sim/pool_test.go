@@ -126,19 +126,65 @@ func (h *reschedulingHandler) HandleEvent(now Time, arg uint64) {
 }
 
 // TestSteadyStateSchedulingDoesNotAllocate: once the slab is warm, the
-// fire→reschedule handler loop runs with zero allocations per event.
+// kernel's hot paths run with zero allocations per event — the
+// fire→reschedule handler loop, the wheel benchmarks' steady state at
+// 64 and 4096 pending timers, and schedule+cancel churn against a deep
+// pending population.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
-	e := NewEngine()
-	h := &reschedulingHandler{eng: e}
-	allocs := testing.AllocsPerRun(100, func() {
-		h.left = 1000
-		e.AfterHandler(1, h, 0)
-		e.Run()
-	})
-	// Amortized cost must be far below one allocation per event; the
-	// occasional heap growth inside container/heap is tolerated.
-	if allocs > 1 {
-		t.Fatalf("steady-state run allocated %.1f times per 1000 events", allocs)
+	const events = 1000 // per measured run
+	steady := func(pending int, horiz Time) func() {
+		e := NewEngine()
+		h := &benchRearm{e: e, state: 0x9e3779b97f4a7c15, horiz: horiz}
+		for i := 0; i < pending; i++ {
+			e.AfterHandler(Time(i+1), h, uint64(i))
+		}
+		// Warm the wheel's buckets to their steady-state capacities.
+		for i := 0; i < 1<<20; i++ {
+			e.Step()
+		}
+		return func() {
+			for i := 0; i < events; i++ {
+				e.Step()
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() // fires or cancels `events` events
+	}{
+		{"reschedule-loop", func() func() {
+			e := NewEngine()
+			h := &reschedulingHandler{eng: e}
+			return func() {
+				h.left = events
+				e.AfterHandler(1, h, 0)
+				e.Run()
+			}
+		}()},
+		{"steady-64-pending-10us", steady(64, 10*Microsecond)},
+		{"steady-4096-pending-10ms", steady(4096, 10*Millisecond)},
+		{"cancel-heavy-32768-pending", func() func() {
+			e := NewEngine()
+			nop := func(Time) {}
+			for i := 0; i < 1<<15; i++ {
+				e.At(Time(1e6+i), nop)
+			}
+			n := 0
+			return func() {
+				for i := 0; i < events; i++ {
+					ev := e.At(Time(5e5+n%1000)+Time(n%8)/8, nop)
+					e.Cancel(ev)
+					n++
+				}
+			}
+		}()},
+	}
+	for _, c := range cases {
+		// Amortized cost must be far below one allocation per event; an
+		// occasional slab or bucket growth is tolerated.
+		if allocs := testing.AllocsPerRun(100, c.run); allocs > 1 {
+			t.Errorf("%s: %.1f allocations per %d events, want ~0", c.name, allocs, events)
+		}
 	}
 }
 

@@ -132,9 +132,11 @@ func TestWheelOccupancyClearsOnCancel(t *testing.T) {
 	}
 }
 
-// Benchmarks: the engine's fire/schedule/cancel paths on the wheel.
-// bench/BASELINE.txt records them for `make bench-compare`;
-// docs/PERFORMANCE.md keeps the measured wheel-vs-heap history.
+// Benchmarks: the engine's fire/schedule/cancel paths on the wheel, kept
+// as profiling entry points. bench/cxlperf tracks their cost end to end
+// as sim.host_ns_per_event, and TestSteadyStateSchedulingDoesNotAllocate
+// pins their zero allocations per event; docs/PERFORMANCE.md keeps the
+// measured wheel-vs-heap history.
 
 type benchRearm struct {
 	e     *Engine

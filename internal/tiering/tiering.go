@@ -37,6 +37,14 @@ type Daemon interface {
 	Name() string
 	// Tick inspects the space and performs migrations via the allocator.
 	Tick(now sim.Time, space *vmm.Space, alloc *vmm.Allocator) Report
+	// SetHealth installs the health source consulted from the next tick
+	// on; run harnesses use it to wire a fault injector into an
+	// already-built daemon.
+	SetHealth(h Health)
+	// CurrentThreshold reports the promotion threshold in effect (after
+	// any auto-adjustment); observability layers export it as a gauge so
+	// the §4.2.2 threshold-chasing failure mode is visible in a timeline.
+	CurrentThreshold() float64
 }
 
 // Health reports whether a node is currently degraded (its backing
@@ -45,13 +53,6 @@ type Daemon interface {
 // fault.Injector; a nil Health means every node is healthy.
 type Health interface {
 	Degraded(n *topology.Node) bool
-}
-
-// HealthSetter is implemented by daemons that accept a health source
-// after construction (all daemons in this package); run harnesses use it
-// to wire a fault injector into an already-built daemon.
-type HealthSetter interface {
-	SetHealth(h Health)
 }
 
 // Tiers names the fast (promotion-target) and slow (demotion-target)
@@ -163,12 +164,10 @@ type HotPromote struct {
 // Name implements Daemon.
 func (h *HotPromote) Name() string { return "hot-promote" }
 
-// SetHealth implements HealthSetter.
+// SetHealth implements Daemon.
 func (h *HotPromote) SetHealth(hl Health) { h.Tiers.Health = hl }
 
-// CurrentThreshold reports the promotion threshold in effect (after any
-// auto-adjustment); observability layers export it as a gauge so the
-// §4.2.2 threshold-chasing failure mode is visible in a timeline.
+// CurrentThreshold implements Daemon.
 func (h *HotPromote) CurrentThreshold() float64 {
 	if h.Threshold <= 0 {
 		return DefaultHotThreshold

@@ -11,7 +11,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"cxlsim/internal/topology"
@@ -281,25 +280,27 @@ func (s *Space) HeatShare() map[*topology.Node]float64 {
 
 // Allocator tracks node capacity and performs allocation and migration.
 type Allocator struct {
-	machine *topology.Machine
-	used    map[int]uint64 // nodeID → bytes
+	// used is bytes allocated per node, indexed by node ID: placement
+	// and Alloc touch it for every page of a space (262,144 for a 512 GB
+	// working set), so it is a slice, not a map.
+	used []uint64
 }
 
 // NewAllocator returns an allocator over the machine's nodes.
 func NewAllocator(m *topology.Machine) *Allocator {
-	return &Allocator{machine: m, used: map[int]uint64{}}
+	return &Allocator{used: make([]uint64, len(m.Nodes))}
 }
 
 // Used reports bytes allocated on a node.
 func (a *Allocator) Used(n *topology.Node) uint64 { return a.used[n.ID] }
 
-// Usage returns a copy of the bytes allocated per node, keyed by node ID.
-func (a *Allocator) Usage() map[int]uint64 { return maps.Clone(a.used) }
+// Usage returns a copy of the bytes allocated per node, indexed by node ID.
+func (a *Allocator) Usage() []uint64 { return slices.Clone(a.used) }
 
 // SetUsage replaces the per-node accounting with a copy of used (as
 // returned by Usage, possibly from an allocator over another machine with
 // the same node IDs).
-func (a *Allocator) SetUsage(used map[int]uint64) { a.used = maps.Clone(used) }
+func (a *Allocator) SetUsage(used []uint64) { a.used = slices.Clone(used) }
 
 // Free reports remaining bytes on a node.
 func (a *Allocator) Free(n *topology.Node) uint64 {
@@ -404,7 +405,7 @@ func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages int) ([]*topol
 	}
 	out := make([]*topology.Node, 0, pages)
 	// Tentative placement must be atomic: track hypothetical usage.
-	tentative := map[int]uint64{}
+	tentative := make([]uint64, len(a.used))
 	free := func(n *topology.Node) uint64 {
 		f := a.Free(n)
 		t := tentative[n.ID]
@@ -449,7 +450,7 @@ func fillFirst(a *Allocator, nodes []*topology.Node, pageSize uint64, pages int)
 		return nil, errors.New("vmm: policy with no nodes")
 	}
 	out := make([]*topology.Node, 0, pages)
-	tentative := map[int]uint64{}
+	tentative := make([]uint64, len(a.used))
 	ni := 0
 	for i := 0; i < pages; i++ {
 		for ni < len(nodes) {
