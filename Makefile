@@ -78,11 +78,14 @@ crash-matrix:
 # the reference heap and fails on any ordering divergence; the RESP
 # decoder fuzzer feeds hostile frames through the wire parser and
 # requires bounded errors plus an EncodeCommand round-trip on every
-# accepted command.
+# accepted command; the Zipfian fuzzer draws (u, n, theta) and requires
+# the Exp/Log-free inversion to return math.Pow's key, at the draw and
+# within 64 ulps of the draw where the key changes.
 fuzz-smoke:
 	$(GO) test -run=NoSuchTest -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/spill
 	$(GO) test -run=NoSuchTest -fuzz=FuzzTimelineDifferential -fuzztime=10s ./internal/sim
 	$(GO) test -run=NoSuchTest -fuzz=FuzzRESPDecode -fuzztime=10s ./internal/resp
+	$(GO) test -run=NoSuchTest -fuzz=FuzzZipfianAt -fuzztime=10s ./internal/workload
 
 # bench-build compiles test+benchmark code without executing any tests or
 # benchmarks (-run with a pattern that matches nothing).

@@ -5,6 +5,7 @@ import (
 
 	"cxlsim/internal/fault"
 	"cxlsim/internal/obs"
+	"cxlsim/internal/par"
 	"cxlsim/internal/sim"
 	"cxlsim/internal/stats"
 	"cxlsim/internal/topology"
@@ -76,6 +77,9 @@ func (cc *ClusterConfig) fill() error {
 	}
 	if cc.RemoteFrac < 0 || cc.RemoteFrac > 1 {
 		return fmt.Errorf("kvstore: remote fraction %v outside [0,1]", cc.RemoteFrac)
+	}
+	if cc.Deploy.SpillDir != "" {
+		return fmt.Errorf("kvstore: cluster nodes cannot share spill dir %q", cc.Deploy.SpillDir)
 	}
 	return nil
 }
@@ -170,6 +174,9 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	return res, err
 }
 
+// nodeSeed is node i's run seed; its warm-up uses nodeSeed+17.
+func nodeSeed(seed int64, i int) int64 { return seed + 7919*int64(i) }
+
 // runCluster is RunCluster, also returning the fabric state with every
 // node's finished run loop.
 func runCluster(cc ClusterConfig) (*ClusterResult, *clusterRun, error) {
@@ -183,18 +190,29 @@ func runCluster(cc ClusterConfig) (*ClusterResult, *clusterRun, error) {
 		remoteFrac: cc.RemoteFrac,
 	}
 
+	// Nodes deploy and warm concurrently: each has its own machine and
+	// seed, so the result does not depend on scheduling.
+	deps := make([]*Deployment, cc.Nodes)
+	err := par.ForEachErr(cc.Nodes, 0, func(i int) error {
+		d, err := Deploy(cc.Config, cc.Deploy)
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
+		if cc.WarmEpochs > 0 && cc.WarmDraws > 0 {
+			d.Warm(cc.Mix, cc.WarmEpochs, cc.WarmDraws, nodeSeed(cc.Seed, i)+17)
+		}
+		deps[i] = d
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
 	started := make([]*startedRun, cc.Nodes)
 	stores := make([]*Store, cc.Nodes)
 	regs := make([]*obs.Registry, cc.Nodes)
-	for i := 0; i < cc.Nodes; i++ {
-		d, err := Deploy(cc.Config, cc.Deploy)
-		if err != nil {
-			return nil, nil, fmt.Errorf("node %d: %w", i, err)
-		}
-		seed := cc.Seed + 7919*int64(i)
-		if cc.WarmEpochs > 0 && cc.WarmDraws > 0 {
-			d.Warm(cc.Mix, cc.WarmEpochs, cc.WarmDraws, seed+17)
-		}
+	for i, d := range deps {
+		seed := nodeSeed(cc.Seed, i)
 		rc, err := d.RunConfigWithFaults(cc.Mix, seed, cc.FaultSchedule)
 		if err != nil {
 			return nil, nil, fmt.Errorf("node %d: %w", i, err)

@@ -58,6 +58,7 @@ type Zipfian struct {
 	zeta2theta  float64
 	eta         float64
 	halfTheta   float64 // math.Pow(0.5, theta), hoisted out of Next's hot path
+	powM        int     // fastAt's integer exponent; 0 disables it (fastExponent)
 	countForZ   uint64  // n for which zetan was computed
 	rng         *rand.Rand
 	allowExtend bool
@@ -78,15 +79,22 @@ func NewZipfianTheta(n uint64, theta float64, seed int64) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: zipfian theta %v out of (0,1)", theta))
 	}
+	return newZipfian(n, theta, zeta(n, theta), seed)
+}
+
+// newZipfian is NewZipfianTheta with the harmonic number zetan supplied,
+// so tests can build generators over item spaces too large to sum.
+func newZipfian(n uint64, theta, zetan float64, seed int64) *Zipfian {
 	z := &Zipfian{
 		n:     n,
 		theta: theta,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	z.zeta2theta = zeta(2, theta)
+	z.zeta2theta = zetaStatic(2, theta)
 	z.alpha = 1 / (1 - theta)
+	z.powM = fastExponent(z.alpha)
 	z.halfTheta = math.Pow(0.5, theta)
-	z.zetan = zeta(n, theta)
+	z.zetan = zetan
 	z.countForZ = n
 	z.eta = z.etaVal()
 	return z
@@ -143,7 +151,73 @@ func (z *Zipfian) at(u float64) uint64 {
 	if uz < 1+z.halfTheta {
 		return 1
 	}
-	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	x := z.eta*u - z.eta + 1
+	if k, ok := z.fastAt(x); ok {
+		return k
+	}
+	return uint64(float64(z.n) * math.Pow(x, z.alpha))
+}
+
+// floorSlack is the relative margin δ by which fastAt must be able to
+// move its estimate either way without changing the floor.
+const floorSlack = 1e-12
+
+// fastExponent returns the integer m that fastAt may raise x to in place
+// of math.Pow(x, alpha), or 0 when no m is close enough.
+//
+// Go's math.Pow(x, α) with α = m + e, |e| < 0.5, computes
+// Exp(e·Log x) · x^m, the power by Frexp-normalized repeated squaring.
+// In binary powering a square doubles its input's relative error and
+// adds one rounding, a product adds its inputs' errors and one rounding,
+// so x^k comes out within (k−1)·2⁻⁵³ of exact; Exp, the first product
+// with it and Log (whose error is scaled by e) add under 4·2⁻⁵³. fastAt
+// powers with the same bound and is used only when 1 ≥ x > 0 and
+// v = n·x^m ≥ 2, so x^m > 2/n > 2⁻⁶³, no square is subnormal and
+// |ln x| < 44/m; then |Exp(e·ln x) − 1| < 45·|e|/m. With both products
+// by n rounded once, v and the value at truncates differ relatively by
+// at most
+//
+//	bound = 45·|e|/m + (2m+4)·2⁻⁵³,
+//
+// and m is used only when bound ≤ floorSlack/10. At YCSB's θ = 0.99,
+// α = 100 − 9.1e-14 and bound = 6.4e-14: ten times inside floorSlack.
+func fastExponent(alpha float64) int {
+	m := math.Round(alpha) // ≥ 1: alpha > 1 for theta in (0, 1)
+	bound := 45*math.Abs(alpha-m)/m + (2*m+4)*0x1p-53
+	if bound > floorSlack/10 {
+		return 0
+	}
+	return int(m)
+}
+
+// fastAt is at's math.Pow line without Exp or Log. When ok, k is exactly
+// uint64(float64(z.n) * math.Pow(x, z.alpha)): v is within floorSlack/10
+// of that product (fastExponent), so a floor that does not move across
+// v·(1 ± floorSlack) is the product's floor. Otherwise (no exponent, x
+// out of (0, 1], v < 2, v past 2⁵³ or a boundary within reach) the
+// caller falls back to math.Pow.
+func (z *Zipfian) fastAt(x float64) (k uint64, ok bool) {
+	if z.powM == 0 || !(x > 0 && x <= 1) {
+		return 0, false
+	}
+	v := float64(z.n) * powInt(x, z.powM)
+	if !(v >= 2 && v < 1<<53) {
+		return 0, false
+	}
+	k = uint64(v * (1 - floorSlack))
+	return k, k == uint64(v*(1+floorSlack))
+}
+
+// powInt returns x^m by binary powering: at most 2·log2(m) multiplies.
+func powInt(x float64, m int) float64 {
+	p := 1.0
+	for ; m > 0; m >>= 1 {
+		if m&1 == 1 {
+			p *= x
+		}
+		x *= x
+	}
+	return p
 }
 
 // N returns the item-space size.
