@@ -27,6 +27,10 @@ func main() {
 	pattern := flag.String("pattern", "sequential", "access pattern: sequential or random")
 	steps := flag.Int("steps", 40, "sweep points per curve")
 	flag.Parse()
+	if *steps < 2 {
+		fmt.Fprintf(os.Stderr, "cxlmlc: -steps must be at least 2, got %d\n", *steps)
+		os.Exit(2)
+	}
 
 	m := topology.TestbedSNC()
 	paths := map[string]*memsim.Path{

@@ -423,7 +423,7 @@ func Fig10(opt Options) (*Report, error) {
 	}
 	// The policy × backend-count grid solves in parallel; series points
 	// are index-aligned per policy, so rows emit in sweep order.
-	series := c.Fig10aParallel(maxBackends, opt.Parallel)
+	series := c.Fig10a(maxBackends, opt.Parallel)
 	for _, p := range llm.Fig10Policies() {
 		for _, pt := range series[p.Name] {
 			rep.AddRow("(a) serving rate", pt.Policy,

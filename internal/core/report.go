@@ -1,8 +1,8 @@
 // Package core is cxlsim's top-level experiment facade: it builds the
 // paper's testbed out of the substrate packages, runs any of the paper's
 // figures/tables by ID, and renders the same rows/series the paper
-// reports. The cmd/cxlbench binary, the examples, and the root-level
-// benchmarks all drive this package.
+// reports. The cmd/cxlbench binary and the root-level benchmarks drive
+// this package.
 package core
 
 import (

@@ -143,8 +143,8 @@ func (p Params) CXLTime(w, d float64, n float64) float64 {
 	return mem/p.Rd + cxl/(p.Rc) + (w - mem - cxl)
 }
 
-// Sweep evaluates TCO saving across a grid of C values, used by the
-// cost-planning example and the ablation bench.
+// Sweep evaluates TCO saving across a grid of C values, for costcalc
+// -sweep.
 func (p Params) Sweep(cs []float64) []SweepPoint {
 	out := make([]SweepPoint, 0, len(cs))
 	for _, c := range cs {

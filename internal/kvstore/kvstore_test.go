@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cxlsim/internal/topology"
@@ -130,6 +131,41 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.Latency.Percentile(99) != b.Latency.Percentile(99) {
 		t.Fatal("non-deterministic latency")
+	}
+}
+
+// ycsbSource hides a *workload.YCSB behind a distinct type, so Run takes
+// the RunConfig.Source path instead of building its own generator.
+type ycsbSource struct{ y *workload.YCSB }
+
+func (s ycsbSource) Next() workload.Op { return s.y.Next() }
+
+// constSource reads one key forever.
+type constSource struct{}
+
+func (constSource) Next() workload.Op { return workload.Op{Kind: workload.OpRead, Key: 7} }
+
+// TestRunSource: a Source that replays the generator Run would build
+// gives the same Result as the nil-Source run, and Run really draws from
+// Source, so a constant-key stream gives a different one.
+func TestRunSource(t *testing.T) {
+	const seed = 123
+	run := func(src OpSource) Result {
+		d, err := Deploy(ConfInter11, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := d.RunConfigFor(workload.YCSBA, seed)
+		rc.Ops = 4_000
+		rc.Source = src
+		return Run(d.Store, d.Alloc, rc)
+	}
+	want := run(nil)
+	if got := run(ycsbSource{workload.NewYCSB(workload.YCSBA, uint64(fastOpts().SimKeys), seed)}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wrapped generator: %.1f ops/s, want %.1f (the nil-Source run)", got.ThroughputOpsPerSec, want.ThroughputOpsPerSec)
+	}
+	if got := run(constSource{}); reflect.DeepEqual(got, want) {
+		t.Fatal("a constant-key Source gave the generator's Result: Run ignores Source")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"cxlsim/internal/workload"
 )
 
-// OpSource produces the operation stream for a run; workload.YCSB and
-// trace.Replayer both implement it.
+// OpSource produces the operation stream for a run; workload.YCSB
+// implements it.
 type OpSource interface {
 	Next() workload.Op
 }
@@ -41,8 +41,8 @@ type RunConfig struct {
 	Seed int64
 
 	// Source overrides the YCSB generator with an arbitrary operation
-	// stream (e.g. a trace.Replayer); Mix is then only used for cache
-	// warming.
+	// stream (e.g. a wrapper that times each draw); Mix is then only used
+	// for cache warming.
 	Source OpSource
 
 	// Daemon, with its Tiers, enables kernel page placement during the

@@ -171,16 +171,11 @@ func (c *Cluster) ServingRate(p Policy, backends int) ServingPoint {
 	}
 }
 
-// Fig10a sweeps backend counts for every policy with GOMAXPROCS workers.
-func (c *Cluster) Fig10a(maxBackends int) map[string][]ServingPoint {
-	return c.Fig10aParallel(maxBackends, 0)
-}
-
-// Fig10aParallel is Fig10a with an explicit worker cap (0 = GOMAXPROCS,
-// 1 = serial). Every (policy, backend-count) cell is an independent
-// solve; cells land index-aligned in each policy's series, so the sweep
-// is identical at any parallelism.
-func (c *Cluster) Fig10aParallel(maxBackends, workers int) map[string][]ServingPoint {
+// Fig10a sweeps backend counts for every policy on at most workers
+// goroutines (0 = GOMAXPROCS, 1 = serial). Every (policy, backend-count)
+// cell is an independent solve; cells land index-aligned in each
+// policy's series, so the sweep is identical at any parallelism.
+func (c *Cluster) Fig10a(maxBackends, workers int) map[string][]ServingPoint {
 	policies := Fig10Policies()
 	out := make(map[string][]ServingPoint, len(policies))
 	for _, p := range policies {

@@ -7,7 +7,7 @@ import (
 
 func TestFig10aSweep(t *testing.T) {
 	c := NewCluster()
-	series := c.Fig10a(6)
+	series := c.Fig10a(6, 0)
 	if len(series) != 4 {
 		t.Fatalf("want 4 policies, got %d", len(series))
 	}

@@ -51,7 +51,8 @@ func Fit(samples []Sample) (FitResult, error) {
 	idle := math.Inf(1)
 	peak := 0.0
 	for _, s := range pts {
-		if s.LatencyNs <= 0 || s.BandwidthGBps < 0 {
+		lat, bw := s.LatencyNs, s.BandwidthGBps
+		if math.IsNaN(lat) || math.IsNaN(bw) || math.IsInf(lat, 0) || math.IsInf(bw, 0) || lat <= 0 || bw < 0 {
 			return FitResult{}, fmt.Errorf("memsim: invalid sample %+v", s)
 		}
 		if s.LatencyNs < idle {

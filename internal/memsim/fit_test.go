@@ -98,6 +98,20 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit(bad); err == nil {
 		t.Error("negative latency should error")
 	}
+	// Non-finite values compare false against the range checks, so each
+	// must be rejected on its own, next to an otherwise valid sweep.
+	for _, s := range []Sample{
+		{BandwidthGBps: 100, LatencyNs: math.NaN()},
+		{BandwidthGBps: math.Inf(1), LatencyNs: 5},
+		{BandwidthGBps: math.NaN(), LatencyNs: 5},
+		{BandwidthGBps: 100, LatencyNs: math.Inf(1)},
+		{BandwidthGBps: math.Inf(-1), LatencyNs: 5},
+	} {
+		samples := append(syntheticSamples(NewCXLDevice("cxl"), 20), s)
+		if _, err := Fit(samples); err == nil {
+			t.Errorf("sample %+v should error", s)
+		}
+	}
 	zeros := make([]Sample, 6)
 	for i := range zeros {
 		zeros[i].LatencyNs = 1

@@ -56,9 +56,6 @@ func NewDevice(name string, capacity uint64) *Device {
 // Resource exposes the shared bandwidth stage.
 func (d *Device) Resource() *memsim.Resource { return d.res }
 
-// Used reports allocated bytes.
-func (d *Device) Used() uint64 { return d.used }
-
 // Free reports unallocated bytes.
 func (d *Device) Free() uint64 { return d.Capacity - d.used }
 
@@ -90,15 +87,6 @@ func (p *Pool) Capacity() uint64 {
 	var sum uint64
 	for _, d := range p.devices {
 		sum += d.Capacity
-	}
-	return sum
-}
-
-// Used reports total allocated bytes.
-func (p *Pool) Used() uint64 {
-	var sum uint64
-	for _, d := range p.devices {
-		sum += d.used
 	}
 	return sum
 }

@@ -207,28 +207,6 @@ func (m *Machine) SSDPath() *memsim.Path {
 	return p
 }
 
-// TotalDRAM reports the machine's DRAM capacity in bytes.
-func (m *Machine) TotalDRAM() uint64 {
-	var sum uint64
-	for _, n := range m.Nodes {
-		if n.Kind == DRAM {
-			sum += n.Capacity
-		}
-	}
-	return sum
-}
-
-// TotalCXL reports the machine's CXL capacity in bytes.
-func (m *Machine) TotalCXL() uint64 {
-	var sum uint64
-	for _, n := range m.Nodes {
-		if n.Kind == CXL {
-			sum += n.Capacity
-		}
-	}
-	return sum
-}
-
 // Resources lists every device/link resource in the machine, for counter
 // collection.
 func (m *Machine) Resources() []*memsim.Resource {

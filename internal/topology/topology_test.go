@@ -6,6 +6,17 @@ import (
 	"cxlsim/internal/memsim"
 )
 
+// capacity sums the capacities of m's nodes of one kind.
+func capacity(m *Machine, kind NodeKind) uint64 {
+	var sum uint64
+	for _, n := range m.Nodes {
+		if n.Kind == kind {
+			sum += n.Capacity
+		}
+	}
+	return sum
+}
+
 func TestTestbedShape(t *testing.T) {
 	m := Testbed()
 	if got := len(m.DRAMNodes(0)); got != 1 {
@@ -14,11 +25,11 @@ func TestTestbedShape(t *testing.T) {
 	if got := len(m.CXLNodes()); got != 2 {
 		t.Fatalf("CXL nodes = %d, want 2 (two A1000 cards)", got)
 	}
-	if m.TotalDRAM() != 1024<<30 {
-		t.Fatalf("DRAM capacity = %d, want 1 TB", m.TotalDRAM())
+	if got := capacity(m, DRAM); got != 1024<<30 {
+		t.Fatalf("DRAM capacity = %d, want 1 TB", got)
 	}
-	if m.TotalCXL() != 512<<30 {
-		t.Fatalf("CXL capacity = %d, want 512 GB", m.TotalCXL())
+	if got := capacity(m, CXL); got != 512<<30 {
+		t.Fatalf("CXL capacity = %d, want 512 GB", got)
 	}
 	for _, n := range m.CXLNodes() {
 		if n.Socket != 0 {
@@ -39,8 +50,8 @@ func TestTestbedSNCShape(t *testing.T) {
 	if n.Capacity != 128<<30 {
 		t.Fatalf("SNC domain capacity = %d, want 128 GB", n.Capacity)
 	}
-	if m.TotalDRAM() != 1024<<30 {
-		t.Fatalf("total DRAM = %d, want 1 TB regardless of SNC", m.TotalDRAM())
+	if got := capacity(m, DRAM); got != 1024<<30 {
+		t.Fatalf("total DRAM = %d, want 1 TB regardless of SNC", got)
 	}
 }
 

@@ -219,8 +219,8 @@ func TestPlacementRoundTrip(t *testing.T) {
 			}
 		}
 		for _, n := range m1.Nodes {
-			if a2.Used(m2.Node(n.ID)) != a1.Used(n) {
-				t.Fatalf("%s: node %d usage %d, source %d", stage, n.ID, a2.Used(m2.Node(n.ID)), a1.Used(n))
+			if a2.used[n.ID] != a1.used[n.ID] {
+				t.Fatalf("%s: node %d usage %d, source %d", stage, n.ID, a2.used[n.ID], a1.used[n.ID])
 			}
 		}
 	}

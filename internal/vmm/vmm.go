@@ -291,9 +291,6 @@ func NewAllocator(m *topology.Machine) *Allocator {
 	return &Allocator{used: make([]uint64, len(m.Nodes))}
 }
 
-// Used reports bytes allocated on a node.
-func (a *Allocator) Used(n *topology.Node) uint64 { return a.used[n.ID] }
-
 // Usage returns a copy of the bytes allocated per node, indexed by node ID.
 func (a *Allocator) Usage() []uint64 { return slices.Clone(a.used) }
 

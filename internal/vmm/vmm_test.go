@@ -27,8 +27,8 @@ func TestAllocBindFillsInOrder(t *testing.T) {
 			t.Fatal("bind page landed off-node")
 		}
 	}
-	if a.Used(dram) != 10*DefaultPageSize {
-		t.Fatalf("used = %d", a.Used(dram))
+	if a.used[dram.ID] != 10*DefaultPageSize {
+		t.Fatalf("used = %d", a.used[dram.ID])
 	}
 }
 
@@ -159,8 +159,8 @@ func TestFreeSpace(t *testing.T) {
 	if len(s.Pages) != 0 {
 		t.Fatal("space not truncated")
 	}
-	if a.Used(dram) != 0 {
-		t.Fatalf("used = %d after free", a.Used(dram))
+	if a.used[dram.ID] != 0 {
+		t.Fatalf("used = %d after free", a.used[dram.ID])
 	}
 }
 
@@ -179,7 +179,7 @@ func TestMigrate(t *testing.T) {
 	if s.Pages[0].Node != cxl {
 		t.Fatal("page did not move")
 	}
-	if a.Used(dram) != 0 || a.Used(cxl) != DefaultPageSize {
+	if a.used[dram.ID] != 0 || a.used[cxl.ID] != DefaultPageSize {
 		t.Fatal("capacity accounting wrong after migrate")
 	}
 	// Self-migration is a no-op.
@@ -334,7 +334,7 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 				}
 			}
 			for _, n := range m.Nodes {
-				if a.Used(n) > n.Capacity {
+				if a.used[n.ID] > n.Capacity {
 					return false
 				}
 			}
