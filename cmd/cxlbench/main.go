@@ -8,9 +8,10 @@
 //	cxlbench -list
 //
 // Experiments fan out onto -parallel worker goroutines (default
-// GOMAXPROCS); warm-up key batches fan out over GOMAXPROCS whatever
-// -parallel says, so GOMAXPROCS=1 is the fully serial run. Tables are
-// byte-identical at any parallelism. Elapsed
+// GOMAXPROCS); warm-up keys are drawn one batch ahead on their own
+// goroutine and fan out over GOMAXPROCS whatever -parallel says, so
+// GOMAXPROCS=1 is the single-core run. Tables are byte-identical at any
+// parallelism. Elapsed
 // wall-clock per experiment goes to stderr so piped table/CSV output
 // stays clean.
 //
@@ -76,7 +77,7 @@ func parseFlags() config {
 	seed := flag.Int64("seed", 0, "workload seed (0 = default 42)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	format := flag.String("format", "table", "output format: table or csv")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per experiment fan-out (1 = serial experiments; warm-up key batches still use GOMAXPROCS, so GOMAXPROCS=1 is fully serial; output is identical either way)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines per experiment fan-out (1 = serial experiments; warm-up key batches still use GOMAXPROCS, so GOMAXPROCS=1 runs on one core; output is identical either way)")
 	shards := cliutil.Shards(flag.CommandLine)
 	faults := flag.String("faults", "", "replay this fault schedule (JSON) in the serving experiments")
 	sloPath := flag.String("slo", "", "evaluate this SLO spec (JSON) over windowed experiment cells")

@@ -61,9 +61,9 @@ func TestWarmIdempotentForStaticConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := d.Store.Space().NodeShare()
+	before := nodeShare(d.Store.Space())
 	d.Warm(workload.YCSBA, 50, 10_000, 1)
-	after := d.Store.Space().NodeShare()
+	after := nodeShare(d.Store.Space())
 	for n, f := range before {
 		if after[n] != f {
 			t.Fatal("Warm moved pages without a daemon")

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cxlsim/internal/memsim"
 	"cxlsim/internal/topology"
 	"cxlsim/internal/vmm"
 	"cxlsim/internal/workload"
@@ -13,6 +14,15 @@ import (
 // fastOpts keeps unit runs quick; benches use paper-scale defaults.
 func fastOpts() DeployOptions {
 	return DeployOptions{WorkingSetBytes: 512 << 30, SimKeys: 1 << 16}
+}
+
+// nodeShare is the fraction of the space's pages on each node.
+func nodeShare(s *vmm.Space) map[*topology.Node]float64 {
+	share := map[*topology.Node]float64{}
+	for i := range s.Pages {
+		share[s.Pages[i].Node] += 1 / float64(len(s.Pages))
+	}
+	return share
 }
 
 func TestDeployAllConfigs(t *testing.T) {
@@ -203,12 +213,55 @@ func TestBytesPerKeyAndPages(t *testing.T) {
 	}
 }
 
+// TestServiceTimePricesMigratedPageFromRefresh: a page migrated onto a
+// node that held none of the store's pages at the last EpochFlows is
+// priced from that node's refreshed (loaded) latency, exactly as if the
+// page had been there at the refresh, not from its idle latency.
+func TestServiceTimePricesMigratedPageFromRefresh(t *testing.T) {
+	// serviceTime deploys MMEM (every page on socket-0 DRAM), charges
+	// migration traffic onto a CXL node, refreshes, and prices a read of
+	// key 0 after moving key 0's pages onto that node before or after the
+	// refresh.
+	serviceTime := func(migrateFirst bool) (t0, loaded, idle float64) {
+		d, err := Deploy(ConfMMEM, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, space := d.Store, d.Store.Space()
+		src, cxl := space.Pages[0].Node, d.Machine.CXLNodes()[0]
+		migrate := func() {
+			for p := 0; float64(p)*float64(space.PageSize) < st.keySpan; p++ {
+				if err := d.Alloc.Migrate(space, p, cxl); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if migrateFirst {
+			migrate()
+		}
+		st.AddMigrationTraffic(src, cxl, 15e9*epochNs/1e9)
+		st.EpochFlows(epochNs)
+		if !migrateFirst {
+			migrate()
+		}
+		t0 = st.ServiceTime(workload.Op{Kind: workload.OpRead, Key: 0})
+		return t0, st.nodeLatency[cxl.ID], st.pathTo(cxl).IdleLatency(memsim.ReadOnly)
+	}
+	want, loaded, idle := serviceTime(true)
+	if !(loaded > idle) {
+		t.Fatalf("migration traffic left the CXL node at %v ns, idle %v ns: the test cannot tell them apart", loaded, idle)
+	}
+	if got, _, _ := serviceTime(false); got != want {
+		t.Fatalf("page migrated after the refresh priced at %v ns, want %v ns (its node's refreshed latency)", got, want)
+	}
+}
+
 func TestInterleaveConfigPlacesOnCXL(t *testing.T) {
 	d, err := Deploy(ConfInter13, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	share := d.Store.Space().NodeShare()
+	share := nodeShare(d.Store.Space())
 	cxlShare := 0.0
 	for n, f := range share {
 		if n.Kind == topology.CXL {

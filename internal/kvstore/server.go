@@ -756,14 +756,16 @@ func (d *Deployment) RunConfigWithFaults(mix workload.YCSBMix, seed int64, s *fa
 // Warm drives the deployment to its steady state before measurement: it
 // replays epochs of workload heat and daemon ticks without the DES, the
 // way the paper lets each configuration run until placement converges
-// before recording. Each epoch's keys are drawn as one batch
-// (keyStream). No-op for daemon-less configurations.
+// before recording. Each epoch's keys are one batch of a keyStream, drawn
+// while the epoch before is applied and ticked; an epoch with no draws
+// still ticks and decays. No-op for daemon-less configurations.
 func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed int64) {
 	if d.Daemon == nil {
 		return
 	}
 	n := uint64(d.Store.cfg.SimKeys)
-	keys := newKeyStream(mix, n, seed)
+	keys := newKeyStream(mix, n, seed, epochs*drawsPerEpoch, drawsPerEpoch)
+	defer keys.stop()
 	space := d.Store.Space()
 	// Each epoch's draws per page, applied in page order by TouchCounts.
 	counts := make([]uint32, len(space.Pages))
@@ -773,7 +775,7 @@ func (d *Deployment) Warm(mix workload.YCSBMix, epochs, drawsPerEpoch int, seed 
 	var now sim.Time
 	for e := 0; e < epochs; e++ {
 		now += epochNs
-		for _, key := range keys.next(drawsPerEpoch) {
+		for _, key := range keys.next() {
 			counts[d.Store.pageOf(key%n)]++
 		}
 		space.TouchCounts(counts, weight)

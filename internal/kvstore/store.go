@@ -92,9 +92,9 @@ type Store struct {
 	cacheCap  int // max resident keys (maxmemory)
 
 	// Per-epoch traffic accumulators and the loaded-latency cache, all
-	// indexed by node ID (the vmm.accumulateShares idiom): the epoch loop
-	// touches them once per op, so a slice index instead of a pointer-map
-	// probe removes both the hash cost and the per-epoch map churn.
+	// indexed by node ID: the epoch loop touches them once per op, so a
+	// slice index instead of a pointer-map probe removes both the hash
+	// cost and the per-epoch map churn.
 	// epochNodes lists the distinct nodes charged this epoch in
 	// first-touch order — a deterministic replacement for ranging over
 	// map keys when the flows are built.
@@ -106,20 +106,19 @@ type Store struct {
 	ssdReadBytes   float64
 	ssdWriteBytes  float64
 
-	// Loaded latencies for the current epoch (ns), by node ID, plus
-	// scratch for collecting the space's distinct resident nodes.
-	nodeLatency   []float64
-	residentSeen  []bool
-	residentNodes []*topology.Node
-	flowScratch   []memsim.OpenFlow
-	ssdLatency    float64
+	// Loaded latencies for the current epoch (ns), by node ID, for every
+	// node of the machine.
+	nodeLatency []float64
+	flowScratch []memsim.OpenFlow
+	ssdLatency  float64
 
 	// Most recent epoch-solve utilization, by resource name, plus each
 	// resource's best-case peak (GB/s) for bandwidth estimation.
 	lastUtil map[string]float64
 	lastPeak map[string]float64
 
-	depth float64 // serialized accesses per op (cost model)
+	depth   float64 // serialized accesses per op (cost model)
+	keySpan float64 // heap bytes one simulated key spans (pageOf)
 
 	spill *spillState // non-nil when cfg.SpillDir is set (durable mode)
 
@@ -163,6 +162,7 @@ func NewStore(m *topology.Machine, alloc *vmm.Allocator, cfg StoreConfig) (*Stor
 		clockRef: make([]uint8, cfg.SimKeys),
 		depth:    DefaultDepth(cfg.WorkingSetBytes),
 	}
+	s.keySpan = s.BytesPerKey() * cfg.MaxMemoryFrac
 	memBytes := uint64(float64(cfg.WorkingSetBytes) * cfg.MaxMemoryFrac)
 	if err := alloc.Alloc(s.space, memBytes, cfg.Policy); err != nil {
 		return nil, fmt.Errorf("kvstore: allocating %d bytes: %w", memBytes, err)
@@ -206,16 +206,23 @@ func (s *Store) Resolve() { s.refreshLatencies(nil) }
 
 // WarmCache converges the Flash resident set to the workload's hot keys
 // before measurement (the paper measures steady state, not cold start).
-// Hit/miss counters are reset afterwards. No-op without Flash.
+// It replays the mix's first draws keys through CLOCK, in batches of
+// warmCacheBatch that a keyStream draws one batch ahead, so key
+// generation overlaps the serial CLOCK pass. Hit/miss counters are reset
+// afterwards. No-op without Flash.
 func (s *Store) WarmCache(mix workload.YCSBMix, draws int, seed int64) {
 	if !s.cfg.Flash {
 		return
 	}
 	n := uint64(s.cfg.SimKeys)
-	keys := newKeyStream(mix, n, seed)
-	for left := draws; left > 0; left -= warmCacheBatch {
-		for _, key := range keys.next(min(left, warmCacheBatch)) {
-			key %= n
+	keys := newKeyStream(mix, n, seed, draws, warmCacheBatch)
+	defer keys.stop()
+	for batch := keys.next(); batch != nil; batch = keys.next() {
+		for _, key := range batch {
+			// Inserts (YCSB-D) may draw keys past the keyspace.
+			if key >= n {
+				key %= n
+			}
 			if s.resident[key] {
 				s.clockRef[key] = 1
 			} else {
@@ -230,36 +237,66 @@ func (s *Store) WarmCache(mix workload.YCSBMix, draws int, seed int64) {
 const warmCacheBatch = 1 << 16
 
 // keyStream is the key stream of workload.NewYCSB(mix, n, seed) with the
-// op kinds thrown away, as warm-ups replay it. When the mix allows
-// (YCSB.ScrambledKeys) each batch's Zipfian inversions fan out over
-// GOMAXPROCS; otherwise the keys come from serial YCSB.Next calls. The
-// keys are the same either way.
+// op kinds thrown away, as warm-ups replay it. One producer goroutine
+// draws the stream's total keys in batches, one batch ahead of the
+// caller, so drawing overlaps the caller's work on the batch before.
+// When the mix allows (YCSB.ScrambledKeys) each batch's Zipfian
+// inversions fan out over GOMAXPROCS; otherwise the keys come from serial
+// YCSB.Next calls. Only the producer touches the generator, in order, so
+// the keys are the same either way and as a serial caller would draw
+// them.
 type keyStream struct {
-	gen  *workload.YCSB
-	z    *workload.ScrambledZipfian // non-nil: draw in batches
-	keys []uint64
+	batches chan []uint64
+	quit    chan struct{} // closed by stop
+	exited  chan struct{} // closed when the producer returns
 }
 
-func newKeyStream(mix workload.YCSBMix, n uint64, seed int64) *keyStream {
-	gen := workload.NewYCSB(mix, n, seed)
-	return &keyStream{gen: gen, z: gen.ScrambledKeys()}
+// newKeyStream starts drawing total keys in batches of batch (the last
+// one partial). The producer exits after handing over the last batch, or
+// at its next hand-over once stop is called; the caller must call stop
+// before it returns.
+func newKeyStream(mix workload.YCSBMix, n uint64, seed int64, total, batch int) *keyStream {
+	ks := &keyStream{batches: make(chan []uint64), quit: make(chan struct{}), exited: make(chan struct{})}
+	go ks.produce(workload.NewYCSB(mix, n, seed), total, batch)
+	return ks
 }
 
-// next returns the stream's next k keys in a slice the following call
-// reuses.
-func (ks *keyStream) next(k int) []uint64 {
-	if cap(ks.keys) < k {
-		ks.keys = make([]uint64, k)
+// produce fills two buffers in turn. The channel is unbuffered, so a
+// buffer is refilled only after the caller has received the other one,
+// which is when the caller is done with the refilled one.
+func (ks *keyStream) produce(gen *workload.YCSB, total, batch int) {
+	defer close(ks.exited)
+	defer close(ks.batches)
+	z := gen.ScrambledKeys()
+	var bufs [2][]uint64
+	for i, left := 0, total; left > 0; i, left = 1-i, left-batch {
+		if bufs[i] == nil {
+			bufs[i] = make([]uint64, min(total, batch))
+		}
+		keys := bufs[i][:min(left, batch)]
+		if z != nil {
+			z.Fill(keys, 0)
+		} else {
+			for j := range keys {
+				keys[j] = gen.Next().Key
+			}
+		}
+		select {
+		case ks.batches <- keys:
+		case <-ks.quit:
+			return
+		}
 	}
-	keys := ks.keys[:k]
-	if ks.z != nil {
-		ks.z.Fill(keys, 0)
-		return keys
-	}
-	for i := range keys {
-		keys[i] = ks.gen.Next().Key
-	}
-	return keys
+}
+
+// next returns the stream's next batch, valid until the call after next,
+// or nil once every batch has been taken.
+func (ks *keyStream) next() []uint64 { return <-ks.batches }
+
+// stop makes the producer exit, if it has not already, and waits for it.
+func (ks *keyStream) stop() {
+	close(ks.quit)
+	<-ks.exited
 }
 
 // Space exposes the heap for tiering daemons.
@@ -280,8 +317,7 @@ func (s *Store) BytesPerKey() float64 {
 // sampling, representative keys would alias onto a fixed page stride and
 // systematically dodge (or hit) interleaved CXL pages.
 func (s *Store) pageOf(key uint64) int {
-	span := s.BytesPerKey() * s.cfg.MaxMemoryFrac
-	off := uint64(float64(key)*span + s.rng.Float64()*span)
+	off := uint64(float64(key)*s.keySpan + s.rng.Float64()*s.keySpan)
 	if off >= s.space.Bytes() {
 		off = s.space.Bytes() - 1
 	}
@@ -295,7 +331,6 @@ func (s *Store) growNode(id int) {
 		s.nodeWriteBytes = append(s.nodeWriteBytes, 0)
 		s.nodeTouched = append(s.nodeTouched, false)
 		s.nodeLatency = append(s.nodeLatency, 0)
-		s.residentSeen = append(s.residentSeen, false)
 		s.paths = append(s.paths, nil)
 	}
 }
@@ -342,11 +377,7 @@ func (s *Store) ServiceTime(op workload.Op) float64 {
 	key := op.Key % uint64(s.cfg.SimKeys)
 	page := s.pageOf(key)
 	node := s.space.Pages[page].Node
-	s.growNode(node.ID)
 	lat := s.nodeLatency[node.ID]
-	if lat == 0 {
-		lat = s.pathTo(node).IdleLatency(memsim.ReadOnly)
-	}
 
 	// Dict walk + value stream on the resident path. The log-normal
 	// jitter models per-op variance (dict chain length, allocator state,
@@ -409,17 +440,25 @@ func (s *Store) admit(key uint64) {
 				if s.clockRef[s.clockHand] == 0 {
 					s.resident[s.clockHand] = false
 					s.memKeys--
-					s.clockHand = (s.clockHand + 1) % s.cfg.SimKeys
+					s.advanceClock()
 					break
 				}
 				s.clockRef[s.clockHand] = 0
 			}
-			s.clockHand = (s.clockHand + 1) % s.cfg.SimKeys
+			s.advanceClock()
 		}
 	}
 	s.resident[key] = true
 	s.clockRef[key] = 1
 	s.memKeys++
+}
+
+// advanceClock moves the CLOCK hand to the next key, wrapping at SimKeys.
+func (s *Store) advanceClock() {
+	s.clockHand++
+	if s.clockHand == s.cfg.SimKeys {
+		s.clockHand = 0
+	}
 }
 
 // EpochFlows converts the epoch's accumulated traffic into open flows and
@@ -476,7 +515,10 @@ func (s *Store) AddMigrationTraffic(src, dst *topology.Node, bytes float64) {
 	s.nodeWriteBytes[dst.ID] += bytes
 }
 
-// refreshLatencies solves the flows and caches per-node loaded latency.
+// refreshLatencies solves the flows and caches the loaded latency of
+// every node of the machine (a handful), not only of those holding the
+// store's pages: a page migrated onto a node between two refreshes is
+// priced from that node's latency under the last solve.
 func (s *Store) refreshLatencies(flows []memsim.OpenFlow) {
 	var util memsim.Utilization
 	if len(flows) > 0 {
@@ -492,25 +534,13 @@ func (s *Store) refreshLatencies(flows []memsim.OpenFlow) {
 		s.lastUtil[r.Name] = u
 		s.lastPeak[r.Name] = r.Peak.Max()
 	}
-	nodes := s.residentNodes[:0]
-	for i := range s.space.Pages {
-		n := s.space.Pages[i].Node
-		s.growNode(n.ID)
-		if !s.residentSeen[n.ID] {
-			s.residentSeen[n.ID] = true
-			nodes = append(nodes, n)
-		}
-	}
-	for _, n := range nodes {
-		p := s.pathTo(n)
+	for _, n := range s.machine.Nodes {
 		lat := 0.0
-		for _, r := range p.Resources {
+		for _, r := range s.pathTo(n).Resources {
 			lat += r.LatencyForUtil(util[r], memsim.ReadOnly)
 		}
 		s.nodeLatency[n.ID] = lat
-		s.residentSeen[n.ID] = false
 	}
-	s.residentNodes = nodes[:0]
 	s.ssdLatency = 0
 	for _, r := range s.ssd.Resources {
 		s.ssdLatency += r.LatencyForUtil(util[r], memsim.ReadOnly)

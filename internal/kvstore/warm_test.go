@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"cxlsim/internal/sim"
 	"cxlsim/internal/workload"
@@ -72,10 +74,25 @@ func warmSerial(d *Deployment, mix workload.YCSBMix, epochs, drawsPerEpoch int, 
 	d.warmDraws += epochs * drawsPerEpoch
 }
 
+// waitGoroutines fails t unless the goroutine count falls back to want
+// within a few seconds: a warm-up's key producer must exit once the
+// warm-up has taken its last batch.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d: a key producer outlived its warm-up", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestWarmMatchesSerial: Warm's batched draws (YCSB-A) and its serial
 // path (YCSB-D, which inserts) reach the warm state of the draw-by-draw
-// reference loop.
+// reference loop, and the key producer has exited afterwards.
 func TestWarmMatchesSerial(t *testing.T) {
+	start := runtime.NumGoroutine()
 	for _, mix := range []workload.YCSBMix{workload.YCSBA, workload.YCSBD} {
 		ref, err := Deploy(ConfHotPromote, fastOpts())
 		if err != nil {
@@ -85,6 +102,21 @@ func TestWarmMatchesSerial(t *testing.T) {
 		if got, want := warmed(t, mix).SaveWarm(), ref.SaveWarm(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Warm state differs from the serial reference", mix.Name)
 		}
+		waitGoroutines(t, start)
+	}
+}
+
+// TestKeyStreamStopsEarly: a caller that stops a key stream before
+// taking every batch does not leave its producer blocked.
+func TestKeyStreamStopsEarly(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for _, mix := range []workload.YCSBMix{workload.YCSBA, workload.YCSBD} {
+		ks := newKeyStream(mix, 1<<12, 5, 10*1000, 1000)
+		if got := len(ks.next()); got != 1000 {
+			t.Fatalf("%s: first batch has %d keys, want 1000", mix.Name, got)
+		}
+		ks.stop()
+		waitGoroutines(t, start)
 	}
 }
 
@@ -104,9 +136,11 @@ func warmCacheSerial(s *Store, mix workload.YCSBMix, draws int, seed int64) {
 
 // TestWarmCacheMatchesSerial: WarmCache's batched draws (YCSB-A) and its
 // serial path (YCSB-D) leave the CLOCK cache exactly as the draw-by-draw
-// reference does, over a draw count that ends in a partial batch.
+// reference does, over a draw count that ends in a partial batch, and
+// the key producer has exited afterwards.
 func TestWarmCacheMatchesSerial(t *testing.T) {
 	const draws = 3*warmCacheBatch + 123
+	start := runtime.NumGoroutine()
 	for _, mix := range []workload.YCSBMix{workload.YCSBA, workload.YCSBD} {
 		var st [2]*Store
 		for i := range st {
@@ -117,6 +151,7 @@ func TestWarmCacheMatchesSerial(t *testing.T) {
 			st[i] = d.Store
 		}
 		st[0].WarmCache(mix, draws, 991)
+		waitGoroutines(t, start)
 		warmCacheSerial(st[1], mix, draws, 991)
 		got, want := st[0], st[1]
 		if !reflect.DeepEqual(got.resident, want.resident) || !reflect.DeepEqual(got.clockRef, want.clockRef) ||
@@ -141,6 +176,32 @@ func BenchmarkWarmCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Store.WarmCache(workload.YCSBA, 4*d.Store.SimKeys(), 991)
+	}
+}
+
+// BenchmarkEpochFlows times one epoch's flow solve and latency refresh
+// at paper scale (1<<20 keys) on a daemon-less in-memory and Flash
+// configuration, after 1,000 YCSB-A ops (untimed) charge the epoch's
+// traffic as Run does.
+func BenchmarkEpochFlows(b *testing.B) {
+	for _, name := range []ConfigName{ConfInter11, ConfMMEMSSD04} {
+		b.Run(string(name), func(b *testing.B) {
+			d, err := Deploy(name, DeployOptions{SimKeys: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := workload.NewYCSB(workload.YCSBA, 1<<20, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < 1000; j++ {
+					d.Store.ServiceTime(gen.Next())
+				}
+				b.StartTimer()
+				d.Store.EpochFlows(epochNs)
+			}
+		})
 	}
 }
 

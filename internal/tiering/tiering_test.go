@@ -58,14 +58,22 @@ func (h *harness) epoch(gen workload.Generator, accesses int, d Daemon) Report {
 	return rep
 }
 
-func (h *harness) fastHeatShare() float64 {
-	share := 0.0
-	for n, f := range h.space.HeatShare() {
-		if slices.Contains(h.tiers.Fast, n) {
-			share += f
+// fastHeatShare is the fraction of the space's heat mass on fast-tier
+// pages.
+func (h *harness) fastHeatShare(t *testing.T) float64 {
+	t.Helper()
+	fast, total := 0.0, 0.0
+	for i := range h.space.Pages {
+		heat := h.space.Heat(i)
+		if slices.Contains(h.tiers.Fast, h.space.Pages[i].Node) {
+			fast += heat
 		}
+		total += heat
 	}
-	return share
+	if total == 0 {
+		t.Fatal("no page holds heat")
+	}
+	return fast / total
 }
 
 func TestHotPromoteConvergesOnZipfian(t *testing.T) {
@@ -82,7 +90,7 @@ func TestHotPromoteConvergesOnZipfian(t *testing.T) {
 	for e := 0; e < 60; e++ {
 		h.epoch(gen, 20000, d)
 	}
-	if share := h.fastHeatShare(); share < 0.80 {
+	if share := h.fastHeatShare(t); share < 0.80 {
 		t.Fatalf("fast-tier heat share after convergence = %.2f, want ≥0.80", share)
 	}
 }
@@ -108,7 +116,7 @@ func TestHotPromoteThrashesOnUniform(t *testing.T) {
 		t.Fatalf("uniform-access churn = %d bytes, expected sustained thrashing", churn)
 	}
 	// ...while placement barely improves over the 50/50 capacity split.
-	if share := h.fastHeatShare(); share > 0.70 {
+	if share := h.fastHeatShare(t); share > 0.70 {
 		t.Fatalf("fast heat share = %.2f on uniform access; thrashing should not beat ≈0.5 by much", share)
 	}
 }

@@ -47,15 +47,6 @@ type Space struct {
 	// so a single factor always suffices).
 	heatEpoch   uint64
 	decayFactor float64
-
-	// shareScratch/shareSeen accumulate per-node mass (indexed by node
-	// ID) inside NodeShare/HeatShare, replacing a map operation per page
-	// with a slice index. Reused across calls; epoch loops call these
-	// every tick, so the scratch removes their dominant allocation
-	// churn. Not safe for concurrent calls on the same Space (a Space is
-	// owned by one simulated application).
-	shareScratch []float64
-	shareSeen    []bool
 }
 
 // NewSpace returns an empty space with the given page size (0 ⇒ default).
@@ -209,75 +200,6 @@ func (s *Space) LoadPlacement(pl *Placement, m *topology.Machine) {
 	}
 }
 
-// accumulateShares sums mass per node over the reused scratch slices and
-// returns the distinct nodes in first-encountered page order. Callers
-// read s.shareScratch[n.ID] for each returned node and must finish with
-// resetShares(nodes) so the scratch is clean for the next call.
-func (s *Space) accumulateShares(mass func(p *Page) float64) (nodes []*topology.Node) {
-	for i := range s.Pages {
-		n := s.Pages[i].Node
-		for n.ID >= len(s.shareScratch) {
-			s.shareScratch = append(s.shareScratch, 0)
-			s.shareSeen = append(s.shareSeen, false)
-		}
-		if !s.shareSeen[n.ID] {
-			s.shareSeen[n.ID] = true
-			nodes = append(nodes, n)
-		}
-		s.shareScratch[n.ID] += mass(&s.Pages[i])
-	}
-	return nodes
-}
-
-func (s *Space) resetShares(nodes []*topology.Node) {
-	for _, n := range nodes {
-		s.shareScratch[n.ID] = 0
-		s.shareSeen[n.ID] = false
-	}
-}
-
-// NodeShare reports the fraction of pages on each node (capacity split).
-// The returned map is freshly allocated (callers may hold it across
-// epochs); the per-page accumulation runs over a reused scratch slice.
-func (s *Space) NodeShare() map[*topology.Node]float64 {
-	out := map[*topology.Node]float64{}
-	if len(s.Pages) == 0 {
-		return out
-	}
-	nodes := s.accumulateShares(func(*Page) float64 { return 1 })
-	inv := 1 / float64(len(s.Pages))
-	for _, n := range nodes {
-		out[n] = s.shareScratch[n.ID] * inv
-	}
-	s.resetShares(nodes)
-	return out
-}
-
-// HeatShare reports the fraction of recent accesses (by heat mass)
-// served from each node — the access split that determines the app's
-// effective memory placement. Like NodeShare, the returned map is fresh
-// but the accumulation reuses the space's scratch.
-func (s *Space) HeatShare() map[*topology.Node]float64 {
-	nodes := s.accumulateShares(func(p *Page) float64 {
-		s.syncHeat(p)
-		return p.heat
-	})
-	total := 0.0
-	for _, n := range nodes {
-		total += s.shareScratch[n.ID]
-	}
-	if total == 0 {
-		s.resetShares(nodes)
-		return s.NodeShare()
-	}
-	out := make(map[*topology.Node]float64, len(nodes))
-	for _, n := range nodes {
-		out[n] = s.shareScratch[n.ID] / total
-	}
-	s.resetShares(nodes)
-	return out
-}
-
 // Allocator tracks node capacity and performs allocation and migration.
 type Allocator struct {
 	// used is bytes allocated per node, indexed by node ID: placement
@@ -324,15 +246,6 @@ func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
 		s.Pages = append(s.Pages, Page{Node: n, decayedAt: s.heatEpoch})
 	}
 	return nil
-}
-
-// FreeSpace releases every page of the space back to its nodes and
-// truncates the space.
-func (a *Allocator) FreeSpace(s *Space) {
-	for i := range s.Pages {
-		a.release(s.Pages[i].Node, s.PageSize)
-	}
-	s.Pages = s.Pages[:0]
 }
 
 func (a *Allocator) release(n *topology.Node, bytes uint64) {

@@ -11,6 +11,26 @@ import (
 
 func testMachine() *topology.Machine { return topology.Testbed() }
 
+// shares is each node's fraction of the total mass over the space's
+// pages, where mass(i) weighs page i.
+func shares(s *Space, mass func(page int) float64) map[*topology.Node]float64 {
+	out := map[*topology.Node]float64{}
+	total := 0.0
+	for i := range s.Pages {
+		out[s.Pages[i].Node] += mass(i)
+		total += mass(i)
+	}
+	for n := range out {
+		out[n] /= total
+	}
+	return out
+}
+
+// nodeShare is the fraction of the space's pages on each node.
+func nodeShare(s *Space) map[*topology.Node]float64 {
+	return shares(s, func(int) float64 { return 1 })
+}
+
 func TestAllocBindFillsInOrder(t *testing.T) {
 	m := testMachine()
 	a := NewAllocator(m)
@@ -104,7 +124,7 @@ func TestInterleaveNMRatio(t *testing.T) {
 	if err := a.Alloc(s, 400*DefaultPageSize, pol); err != nil {
 		t.Fatal(err)
 	}
-	share := s.NodeShare()
+	share := nodeShare(s)
 	if math.Abs(share[dram]-0.75) > 0.01 {
 		t.Fatalf("3:1 interleave dram share = %v, want 0.75", share[dram])
 	}
@@ -122,7 +142,7 @@ func TestInterleaveRoundRobinsWithinTier(t *testing.T) {
 	if err := a.Alloc(s, 300*DefaultPageSize, pol); err != nil {
 		t.Fatal(err)
 	}
-	share := s.NodeShare()
+	share := nodeShare(s)
 	if math.Abs(share[cxls[0]]-share[cxls[1]]) > 0.02 {
 		t.Fatalf("low tier not balanced: %v vs %v", share[cxls[0]], share[cxls[1]])
 	}
@@ -144,23 +164,6 @@ func TestBindNoNodes(t *testing.T) {
 	a := NewAllocator(testMachine())
 	if err := a.Alloc(NewSpace(0), DefaultPageSize, Bind{}); err == nil {
 		t.Fatal("want error for bind with no nodes")
-	}
-}
-
-func TestFreeSpace(t *testing.T) {
-	m := testMachine()
-	a := NewAllocator(m)
-	s := NewSpace(0)
-	dram := m.DRAMNodes(0)[0]
-	if err := a.Alloc(s, 10*DefaultPageSize, Bind{Nodes: []*topology.Node{dram}}); err != nil {
-		t.Fatal(err)
-	}
-	a.FreeSpace(s)
-	if len(s.Pages) != 0 {
-		t.Fatal("space not truncated")
-	}
-	if a.used[dram.ID] != 0 {
-		t.Fatalf("used = %d after free", a.used[dram.ID])
 	}
 }
 
@@ -234,6 +237,8 @@ func TestDecayValidation(t *testing.T) {
 	s.DecayHeat(1.5)
 }
 
+// TestHeatShare: on a 1:1 interleave, touching only the DRAM pages puts
+// all the heat mass on DRAM.
 func TestHeatShare(t *testing.T) {
 	m := testMachine()
 	a := NewAllocator(m)
@@ -244,10 +249,8 @@ func TestHeatShare(t *testing.T) {
 	if err := a.Alloc(s, 10*DefaultPageSize, pol); err != nil {
 		t.Fatal(err)
 	}
-	// With no heat, HeatShare falls back to capacity share.
-	hs := s.HeatShare()
-	if math.Abs(hs[dram]-0.5) > 0.01 {
-		t.Fatalf("cold heat share = %v, want 0.5", hs[dram])
+	if share := nodeShare(s); math.Abs(share[dram]-0.5) > 0.01 {
+		t.Fatalf("capacity share = %v, want 0.5", share[dram])
 	}
 	// Heat up only DRAM pages.
 	for i := range s.Pages {
@@ -255,7 +258,7 @@ func TestHeatShare(t *testing.T) {
 			s.Touch(i, 100)
 		}
 	}
-	hs = s.HeatShare()
+	hs := shares(s, s.Heat)
 	if hs[dram] < 0.99 {
 		t.Fatalf("hot share = %v, want ≈1", hs[dram])
 	}
@@ -302,7 +305,7 @@ func TestPropertyInterleaveShares(t *testing.T) {
 		if err := a.Alloc(s, uint64(pages)*DefaultPageSize, pol); err != nil {
 			return false
 		}
-		share := s.NodeShare()[m.DRAMNodes(0)[0]]
+		share := nodeShare(s)[m.DRAMNodes(0)[0]]
 		want := float64(n) / float64(n+mm)
 		return math.Abs(share-want) < 0.01
 	}
@@ -330,7 +333,11 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 				}
 			case 2:
 				if op%7 == 0 {
-					a.FreeSpace(s)
+					// Free the whole space.
+					for i := range s.Pages {
+						a.release(s.Pages[i].Node, s.PageSize)
+					}
+					s.Pages = s.Pages[:0]
 				}
 			}
 			for _, n := range m.Nodes {
