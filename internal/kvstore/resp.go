@@ -386,7 +386,13 @@ func (b *RESPBackend) Commit() error {
 	b.mu.Lock()
 	seq := b.tier.Seq()
 	b.mu.Unlock()
-	return b.tier.SyncThrough(seq)
+	// SyncThrough may block in fsync. Called straight from a connection's
+	// goroutine, that syscall can leave no thread polling the network,
+	// so the other connections' requests wait for the fsync; starting a
+	// goroutine for it makes the runtime wake an idle thread, which polls.
+	done := make(chan error, 1)
+	go func() { done <- b.tier.SyncThrough(seq) }()
+	return <-done
 }
 
 // VirtualNow reports the backend's virtual clock (ns).

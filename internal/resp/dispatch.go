@@ -64,19 +64,43 @@ func (d *Dispatcher) Instrument(reg *obs.Registry) {
 	d.errs = reg.CounterVec(obs.MetricRESPErrors, "RESP commands answered with an error reply", "cmd")
 }
 
+// command is a known command: its lower-case name, interned so that it
+// labels metrics without allocating; its arity in Redis's convention (n:
+// exactly n arguments, the name included; -n: at least n); and whether
+// its success reply acknowledges a write.
+type command struct {
+	name  string
+	arity int
+	write bool
+}
+
 // knownCommands bounds the metric label space: everything else counts
 // under "unknown" so a hostile client cannot mint unbounded label
 // values.
-var knownCommands = map[string]bool{
-	"get": true, "set": true, "del": true, "exists": true, "incr": true,
-	"mget": true, "mset": true, "ping": true, "echo": true, "info": true,
-	"config": true, "command": true, "select": true, "quit": true,
-	"hello": true,
+var knownCommands = map[string]command{
+	"get": {"get", 2, false}, "set": {"set", 3, true}, "del": {"del", -2, true},
+	"exists": {"exists", -2, false}, "incr": {"incr", 2, true},
+	"mget": {"mget", -2, false}, "mset": {"mset", -3, true},
+	"ping": {"ping", -1, false}, "echo": {"echo", 2, false},
+	"info": {"info", -1, false}, "config": {"config", -1, false},
+	"command": {"command", -1, false}, "select": {"select", 2, false},
+	"quit": {"quit", -1, false}, "hello": {"hello", -1, false},
 }
 
-// writeCommands are the commands whose success reply acknowledges a
-// write.
-var writeCommands = map[string]bool{"set": true, "del": true, "incr": true, "mset": true}
+// lookupCommand returns the known command arg names, in any case, or
+// an "unknown" entry, without allocating.
+func lookupCommand(arg []byte) command {
+	var lower [7]byte // as long as the longest known name
+	if len(arg) <= len(lower) {
+		for i, c := range arg {
+			lower[i] = c | 0x20 // lower-cases A-Z and turns no other byte into a letter
+		}
+		if c, ok := knownCommands[string(lower[:len(arg)])]; ok {
+			return c
+		}
+	}
+	return command{name: "unknown", arity: -1}
+}
 
 // Dispatch executes one command, appending its reply to out and
 // returning the extended buffer. quit reports that the client asked to
@@ -90,29 +114,26 @@ func (d *Dispatcher) Dispatch(args [][]byte, out []byte) (reply []byte, quit boo
 // dispatch is Dispatch that also reports whether the reply acknowledges
 // a write, which the server must commit before flushing it.
 func (d *Dispatcher) dispatch(args [][]byte, out []byte) (reply []byte, quit, acksWrite bool) {
-	cmd := strings.ToLower(string(args[0]))
-	label := cmd
-	if !knownCommands[label] {
-		label = "unknown"
-	}
+	c := lookupCommand(args[0])
 	if d.cmds != nil {
-		d.cmds.With(label).Inc()
+		d.cmds.With(c.name).Inc()
 	}
 	before := len(out)
-	out, quit = d.exec(cmd, args, out)
+	if c.arity > 0 && len(args) != c.arity || len(args) < -c.arity {
+		out = AppendError(out, string(wrongArity(c.name)))
+	} else {
+		out, quit = d.exec(c.name, args, out)
+	}
 	failed := len(out) > before && out[before] == '-'
 	if d.errs != nil && failed {
-		d.errs.With(label).Inc()
+		d.errs.With(c.name).Inc()
 	}
-	return out, quit, writeCommands[cmd] && !failed
+	return out, quit, c.write && !failed
 }
 
 func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) {
 	switch cmd {
 	case "get":
-		if len(args) != 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		v, ok, err := d.b.Get(args[1])
 		if err != nil {
 			return AppendError(out, ErrorReply(err)), false
@@ -125,18 +146,12 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 	case "set":
 		// Plain two-argument SET only; the EX/PX/NX/XX options are not
 		// modeled (redis-benchmark's SET workload never sends them).
-		if len(args) != 3 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		if err := d.b.Set(args[1], args[2]); err != nil {
 			return AppendError(out, ErrorReply(err)), false
 		}
 		return AppendSimpleString(out, "OK"), false
 
 	case "del":
-		if len(args) < 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		n, err := d.b.Del(args[1:])
 		if err != nil {
 			return AppendError(out, ErrorReply(err)), false
@@ -144,9 +159,6 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		return AppendInt(out, n), false
 
 	case "exists":
-		if len(args) < 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		n, err := d.b.Exists(args[1:])
 		if err != nil {
 			return AppendError(out, ErrorReply(err)), false
@@ -154,9 +166,6 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		return AppendInt(out, n), false
 
 	case "incr":
-		if len(args) != 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		n, err := d.b.Incr(args[1])
 		if err != nil {
 			return AppendError(out, ErrorReply(err)), false
@@ -164,9 +173,6 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		return AppendInt(out, n), false
 
 	case "mget":
-		if len(args) < 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		vals, err := d.b.MGet(args[1:])
 		if err != nil {
 			return AppendError(out, ErrorReply(err)), false
@@ -182,7 +188,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		return out, false
 
 	case "mset":
-		if len(args) < 3 || len(args)%2 != 1 {
+		if len(args)%2 != 1 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
 		if err := d.b.MSet(args[1:]); err != nil {
@@ -200,9 +206,6 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		return AppendError(out, string(wrongArity(cmd))), false
 
 	case "echo":
-		if len(args) != 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		return AppendBulk(out, args[1]), false
 
 	case "info":
@@ -240,9 +243,6 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 
 	case "select":
 		// Single keyspace: accept any database index.
-		if len(args) != 2 {
-			return AppendError(out, string(wrongArity(cmd))), false
-		}
 		return AppendSimpleString(out, "OK"), false
 
 	case "quit":

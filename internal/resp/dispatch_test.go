@@ -208,3 +208,19 @@ func TestDispatchMetrics(t *testing.T) {
 		t.Fatalf("error counters wrong: %v", errByLabel)
 	}
 }
+
+// TestDispatchAllocs pins the hot path: a GET into a reused buffer
+// allocates nothing, with or without metrics.
+func TestDispatchAllocs(t *testing.T) {
+	b := newMapBackend()
+	b.Set([]byte("k"), []byte("v"))
+	get := args("GET", "k")
+	buf := make([]byte, 0, 64)
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		d := NewDispatcher(b)
+		d.Instrument(reg)
+		if n := testing.AllocsPerRun(100, func() { buf, _ = d.Dispatch(get, buf[:0]) }); n != 0 {
+			t.Errorf("GET k (instrumented=%v) allocates %v times, want 0", reg != nil, n)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Reader parses RESP requests off a stream. Every frame dimension is
@@ -15,8 +16,9 @@ import (
 // io.ErrUnexpectedEOF, never as a ProtocolError — a half-received
 // command is a dead connection, not a protocol violation.
 type Reader struct {
-	br  *bufio.Reader
-	lim Limits
+	br     *bufio.Reader
+	lim    Limits
+	staged []byte // the payloads of the command being read
 }
 
 // NewReader wraps r. A zero Limits takes the package defaults.
@@ -28,8 +30,8 @@ func NewReader(r io.Reader, lim Limits) *Reader {
 
 // ReadCommand returns the next command's arguments. An empty slice with
 // a nil error means an empty line (or "*0") was received — the caller
-// skips it. The returned sub-slices are freshly allocated and remain
-// valid after the next call.
+// skips it. The returned sub-slices never alias the read buffer and
+// remain valid after the next call.
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	first, err := r.br.ReadByte()
 	if err != nil {
@@ -118,6 +120,7 @@ func (r *Reader) readMultiBulk() ([][]byte, error) {
 		return nil, nil
 	}
 	args := make([][]byte, 0, n)
+	r.staged = r.staged[:0]
 	for i := 0; i < n; i++ {
 		marker, err := r.br.ReadByte()
 		if err != nil {
@@ -134,14 +137,28 @@ func (r *Reader) readMultiBulk() ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, size+2)
+		off := len(r.staged)
+		r.staged = slices.Grow(r.staged, size+2)[:off+size+2]
+		buf := r.staged[off:]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return nil, tornEOF(err)
 		}
 		if buf[size] != '\r' || buf[size+1] != '\n' {
 			return nil, ProtocolError("bulk payload not terminated by CRLF")
 		}
-		args = append(args, buf[:size:size])
+		r.staged = r.staged[:off+size]
+		args = append(args, buf[:size])
+	}
+	// One chunk of the payloads' exact size outlives the next command,
+	// unlike staged. args point into staged (an older copy if it grew),
+	// but only their lengths are used here.
+	chunk := make([]byte, len(r.staged))
+	copy(chunk, r.staged)
+	for i, a := range args {
+		args[i], chunk = chunk[:len(a):len(a)], chunk[len(a):]
+	}
+	if cap(r.staged) > 64<<10 {
+		r.staged = nil // do not pin one large command's size
 	}
 	return args, nil
 }
@@ -154,15 +171,12 @@ func (r *Reader) readInline() ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fields := bytes.Fields(line)
+	// Split a copy, as line aliases the read buffer (Fields caps each field).
+	fields := bytes.Fields(append([]byte(nil), line...))
 	if len(fields) > r.lim.MaxArgs {
 		return nil, ProtocolError("invalid multibulk length")
 	}
-	args := make([][]byte, len(fields))
-	for i, f := range fields {
-		args[i] = append([]byte(nil), f...)
-	}
-	return args, nil
+	return fields, nil
 }
 
 // tornEOF converts a mid-frame EOF into io.ErrUnexpectedEOF so callers

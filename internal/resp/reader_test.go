@@ -138,3 +138,34 @@ func TestReaderArgsSurviveNextRead(t *testing.T) {
 		t.Fatalf("first command clobbered by second read: %q", first[1])
 	}
 }
+
+// repeatReader replays one frame forever.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.frame[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.frame)
+	}
+	return n, nil
+}
+
+// TestReaderAllocs bounds a SET with a 100-byte value to two
+// allocations: the argument list and one chunk for every payload.
+func TestReaderAllocs(t *testing.T) {
+	set := EncodeCommand(nil, []byte("SET"), []byte("key:00001234"), bytes.Repeat([]byte("v"), 100))
+	r := NewReader(&repeatReader{frame: set}, Limits{})
+	n := testing.AllocsPerRun(1000, func() {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 3 {
+			t.Fatalf("ReadCommand: %q, %v", args, err)
+		}
+	})
+	if n > 2 {
+		t.Fatalf("SET with a 100-byte value allocates %v times, want <= 2", n)
+	}
+}

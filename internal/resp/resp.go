@@ -12,9 +12,8 @@
 //     bulk strings, arrays) into caller-owned buffers, append-style.
 //   - Dispatcher maps a parsed command to a Backend call and encodes
 //     the reply, with per-command obs counters.
-//   - Server owns the listener and the per-connection goroutines: a
-//     read loop that parses and dispatches, decoupled from a buffered
-//     reply writer, so pipelined clients get batched replies.
+//   - Server owns the listener and one goroutine per connection, which
+//     answers every command already received with one write.
 //
 // Protocol scope: RESP2 only. HELLO is answered with -NOPROTO so RESP3
 // clients (redis-cli ≥ 6) negotiate themselves back down to RESP2.

@@ -75,9 +75,8 @@ func NewServer(b Backend, opts Options) *Server {
 }
 
 // Serve accepts connections on ln until Shutdown, then returns
-// ErrServerClosed. Each connection runs two goroutines: a read loop
-// that parses and dispatches commands, and a buffered reply writer —
-// pipelined clients keep parsing and execution ahead of the flush.
+// ErrServerClosed. Each connection runs one goroutine, which answers a
+// pipelined burst with one write (see serveConn).
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.draining {
@@ -111,7 +110,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		go s.serveConn(&replyConn{Conn: conn, commit: s.commit, buf: make([]byte, 0, replyBufSize)})
 	}
 }
 
@@ -139,89 +138,85 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// reply is one command's encoded reply on its way to the writer.
-type reply struct {
-	b         []byte
-	acksWrite bool // must not leave before a Commit covers it
+// flushThreshold bounds the replies a connection holds: past it they go
+// out mid-burst, and a buffer grown beyond it is dropped once written,
+// so one large reply does not pin its size for the connection's life.
+const (
+	flushThreshold = 64 << 10
+	replyBufSize   = 16 << 10 // a reply buffer's initial capacity
+)
+
+// replyConn is a client connection plus the replies dispatched since its
+// last write. Its Read writes them (committing first when one
+// acknowledges a write) and then reads the socket: the Reader's bufio
+// layer calls Read only when it needs bytes it does not hold, so every
+// command already received is answered in one write, and no reply waits
+// behind a half-received frame.
+type replyConn struct {
+	net.Conn
+	commit      Committer // nil unless the backend is one
+	buf         []byte
+	uncommitted bool // buf holds a write ack no Commit covers yet
 }
 
-// serveConn runs one connection's read loop; replies flow to a writer
-// goroutine over a bounded channel so a slow reader of our replies
-// backpressures parsing instead of buffering without limit.
-func (s *Server) serveConn(conn net.Conn) {
+func (c *replyConn) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
+}
+
+// flush writes the held replies. A write that blocks on a slow reader
+// of replies stops parsing too, so memory stays bounded. An error (peer
+// gone or commit failed) drops the batch; the caller closes.
+func (c *replyConn) flush() (err error) {
+	if len(c.buf) == 0 {
+		return nil
+	}
+	if c.uncommitted && c.commit != nil {
+		err = c.commit.Commit()
+	}
+	if err == nil {
+		_, err = c.Conn.Write(c.buf)
+	}
+	if cap(c.buf) > flushThreshold {
+		c.buf = make([]byte, 0, replyBufSize)
+	}
+	c.buf, c.uncommitted = c.buf[:0], false
+	return err
+}
+
+// serveConn runs one connection: it dispatches each command into c's
+// reply buffer, which goes out before the next socket read, past
+// flushThreshold, and on return (after QUIT or a protocol error).
+func (s *Server) serveConn(c *replyConn) {
 	defer s.wg.Done()
-	defer s.untrack(conn)
-	defer conn.Close()
+	defer s.untrack(c.Conn)
+	defer c.Close()
+	defer c.flush()
 
-	replies := make(chan reply, 64)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		writeLoop(conn, replies, s.commit)
-	}()
-	defer func() {
-		close(replies)
-		<-writerDone
-	}()
-
-	rd := NewReader(conn, s.opts.Limits)
+	rd := NewReader(c, s.opts.Limits)
 	for {
 		args, err := rd.ReadCommand()
-		if err != nil {
-			var pe ProtocolError
-			if errors.As(err, &pe) {
-				if s.protoErrs != nil {
-					s.protoErrs.Inc()
-				}
-				replies <- reply{b: AppendError(nil, "ERR "+pe.Error())}
+		var pe ProtocolError
+		if errors.As(err, &pe) {
+			if s.protoErrs != nil {
+				s.protoErrs.Inc()
 			}
+			c.buf = AppendError(c.buf, "ERR "+pe.Error())
+		}
+		if err != nil {
 			return
 		}
 		if len(args) == 0 {
 			continue
 		}
-		out, quit, acks := s.disp.dispatch(args, nil)
-		replies <- reply{b: out, acksWrite: acks}
-		if quit {
-			return
+		var quit, acks bool
+		c.buf, quit, acks = s.disp.dispatch(args, c.buf)
+		c.uncommitted = c.uncommitted || acks
+		if quit || len(c.buf) >= flushThreshold && c.flush() != nil {
+			return // QUIT's reply goes out in the deferred flush
 		}
-	}
-}
-
-// writeLoop batches replies into one buffered writer, flushing only
-// when no further reply is immediately pending — a pipelined burst of N
-// commands goes out in one (or few) TCP segments. A batch that
-// acknowledges a write is committed first (when c is non-nil), so the
-// whole burst shares one fsync. The last reply always flushes, since
-// the channel is empty when it arrives: QUIT and drain go through the
-// same barrier.
-func writeLoop(conn net.Conn, replies <-chan reply, c Committer) {
-	const flushThreshold = 64 << 10
-	buf := make([]byte, 0, 16<<10)
-	uncommitted := false
-	for r := range replies {
-		buf = append(buf, r.b...)
-		uncommitted = uncommitted || r.acksWrite
-		if len(replies) > 0 && len(buf) < flushThreshold {
-			continue
-		}
-		var err error
-		if uncommitted && c != nil {
-			err = c.Commit()
-		}
-		if err == nil {
-			_, err = conn.Write(buf)
-		}
-		if err != nil {
-			// Peer gone or commit failed: drop the batch and close, which
-			// also ends the read loop; drain the channel so it never
-			// blocks sending to it.
-			conn.Close()
-			for range replies {
-			}
-			return
-		}
-		buf, uncommitted = buf[:0], false
 	}
 }
 
@@ -235,8 +230,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	ln := s.ln
 	for conn := range s.conns {
-		// Wake blocking reads; the read loop treats the timeout as a
-		// terminal condition, flushes pending replies, and closes.
+		// Wake blocking reads: replies already due go out before the
+		// read that times out, which ends the connection.
 		conn.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()

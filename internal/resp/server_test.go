@@ -2,13 +2,16 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,6 +197,8 @@ type commitBackend struct {
 	cmu               sync.Mutex
 	appended, durable int // SETs applied; SETs covered by a returned Commit
 	commits           int
+
+	writes atomic.Int32 // server socket writes, counted by ackCheckConn
 }
 
 func newCommitBackend(delay time.Duration, err error) *commitBackend {
@@ -257,6 +262,7 @@ type ackCheckConn struct {
 }
 
 func (c *ackCheckConn) Write(p []byte) (int, error) {
+	c.l.b.writes.Add(1)
 	c.written += len(p)
 	acks := min(c.written/len("+OK\r\n"), c.l.sets)
 	if durable, _ := c.l.b.counts(); acks > durable {
@@ -305,8 +311,7 @@ func exchange(t *testing.T, addr, req string, want int) string {
 
 // TestServerCommitsPipelinedBurst: a pipelined burst of 16 SETs is
 // acknowledged only after a Commit covering each ack has returned, and
-// the whole burst costs at most 2 commits (the first reply can flush
-// alone before the rest are dispatched).
+// the whole burst costs one commit and one socket write.
 func TestServerCommitsPipelinedBurst(t *testing.T) {
 	b := newCommitBackend(50*time.Millisecond, nil)
 	addr, stop := startCommitServer(t, b, 16)
@@ -315,8 +320,11 @@ func TestServerCommitsPipelinedBurst(t *testing.T) {
 	if got := exchange(t, addr, sets(16), len(want)); got != want {
 		t.Fatalf("replies %q, want %q", got, want)
 	}
-	if durable, commits := b.counts(); durable != 16 || commits > 2 {
-		t.Fatalf("durable=%d commits=%d; want 16 durable in at most 2 commits", durable, commits)
+	if durable, commits := b.counts(); durable != 16 || commits != 1 {
+		t.Fatalf("durable=%d commits=%d; want 16 durable in 1 commit", durable, commits)
+	}
+	if w := b.writes.Load(); w != 1 {
+		t.Fatalf("burst answered in %d writes, want 1", w)
 	}
 }
 
@@ -363,5 +371,128 @@ func TestServerReadsNeedNoCommit(t *testing.T) {
 	}
 	if _, commits := b.counts(); commits != 0 {
 		t.Fatalf("read-only batch committed %d times", commits)
+	}
+}
+
+// servePipe runs one connection of s over net.Pipe and returns the
+// client end. A pipe read returns at most one client write, so the test
+// decides where the server's reads split the stream.
+func servePipe(s *Server) (net.Conn, *replyConn) {
+	srv, cli := net.Pipe()
+	c := &replyConn{Conn: srv, commit: s.commit}
+	s.wg.Add(1)
+	go s.serveConn(c)
+	return cli, c
+}
+
+// TestServerAnswersBeforePartialFrame: replies to the commands already
+// received go out before the server waits for the rest of a frame, even
+// though that frame's first half is already in the read buffer.
+func TestServerAnswersBeforePartialFrame(t *testing.T) {
+	s := NewServer(newMapBackend(), Options{})
+	cli, _ := servePipe(s)
+	defer func() {
+		cli.Close()
+		s.wg.Wait()
+	}()
+	get := "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
+	cli.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(cli, "*1\r\n$4\r\nPING\r\n"+get[:9]); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len("+PONG\r\n"))
+	if _, err := io.ReadFull(cli, got); err != nil || string(got) != "+PONG\r\n" {
+		t.Fatalf("PING reply %q, %v; want +PONG before the rest of GET is sent", got, err)
+	}
+	if _, err := io.WriteString(cli, get[9:]); err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, len("$-1\r\n"))
+	if _, err := io.ReadFull(cli, got); err != nil || string(got) != "$-1\r\n" {
+		t.Fatalf("GET reply %q, %v", got, err)
+	}
+}
+
+// pipeExchange sends chunks over a fresh server's pipe connection, one
+// write each, and returns every reply byte up to the server's close.
+func pipeExchange(t *testing.T, chunks []string) string {
+	t.Helper()
+	s := NewServer(newMapBackend(), Options{})
+	cli, _ := servePipe(s)
+	defer s.wg.Wait()
+	defer cli.Close()
+	cli.SetDeadline(time.Now().Add(5 * time.Second))
+	go func() {
+		for _, c := range chunks {
+			if _, err := io.WriteString(cli, c); err != nil {
+				return
+			}
+		}
+	}()
+	got, err := io.ReadAll(cli)
+	if err != nil {
+		t.Fatalf("read replies: %v", err)
+	}
+	return string(got)
+}
+
+// TestServerSplitStream: a pipelined stream cut into random chunks, many
+// of them mid-frame, is answered byte for byte as when sent whole.
+func TestServerSplitStream(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 63; i++ {
+		k := []byte(fmt.Sprintf("k%d", i%7))
+		switch i % 6 {
+		case 0:
+			stream = EncodeCommand(stream, []byte("SET"), k, []byte(strings.Repeat("v", i)))
+		case 1:
+			stream = EncodeCommand(stream, []byte("GET"), k)
+		case 2:
+			stream = EncodeCommand(stream, []byte("INCR"), []byte("ctr"))
+		case 3:
+			stream = EncodeCommand(stream, []byte("MGET"), k, []byte("k0"), []byte("nope"))
+		case 4:
+			stream = EncodeCommand(stream, []byte("DEL"), k)
+		case 5:
+			stream = append(stream, "PING\r\n"...)
+		}
+	}
+	stream = EncodeCommand(stream, []byte("QUIT"))
+
+	want := pipeExchange(t, []string{string(stream)})
+	if !strings.HasSuffix(want, "+OK\r\n") || strings.Count(want, "+PONG") != 10 {
+		t.Fatalf("whole-stream replies look wrong: %q", want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var chunks []string
+	for rest := string(stream); rest != ""; {
+		n := min(1+rng.Intn(24), len(rest))
+		chunks = append(chunks, rest[:n])
+		rest = rest[n:]
+	}
+	if got := pipeExchange(t, chunks); got != want {
+		t.Fatalf("split stream replies differ:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestServerDropsGrownReplyBuffer: once a large reply is written, the
+// connection holds no more than flushThreshold of buffer capacity.
+func TestServerDropsGrownReplyBuffer(t *testing.T) {
+	s := NewServer(newMapBackend(), Options{})
+	cli, c := servePipe(s)
+	cli.SetDeadline(time.Now().Add(5 * time.Second))
+	big := bytes.Repeat([]byte("x"), 1<<20)
+	go func() {
+		req := EncodeCommand(nil, []byte("ECHO"), big)
+		io.WriteString(cli, string(EncodeCommand(req, []byte("QUIT"))))
+	}()
+	got, err := io.ReadAll(cli)
+	cli.Close()
+	s.wg.Wait()
+	if want := string(AppendBulk(nil, big)) + "+OK\r\n"; err != nil || string(got) != want {
+		t.Fatalf("replies: %d bytes, %v; want the 1 MiB echo then +OK", len(got), err)
+	}
+	if n := cap(c.buf); n > flushThreshold {
+		t.Fatalf("connection holds a %d-byte reply buffer after the echo, want <= %d", n, flushThreshold)
 	}
 }
