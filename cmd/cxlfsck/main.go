@@ -1,6 +1,5 @@
 // Command cxlfsck verifies (and optionally repairs) a durable spill
-// tier directory — the on-disk log cxlycsb -spill-dir and cxlserve
-// -spill-dir write.
+// tier directory — the on-disk log cxlserve -resp -spill-dir writes.
 //
 // Usage:
 //

@@ -227,7 +227,7 @@ func run(cfg config) error {
 	}
 	defer closeSpill()
 	if cfg.spillDir != "" {
-		sd, rep, err := spill.Open(spill.Options{Dir: cfg.spillDir, SyncEvery: -1})
+		sd, rep, err := spill.Open(spill.Options{Dir: cfg.spillDir, GroupCommit: true})
 		if err != nil {
 			return fmt.Errorf("spill tier: %w", err)
 		}

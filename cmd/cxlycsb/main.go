@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"cxlsim/internal/cliutil"
@@ -64,7 +63,6 @@ func main() {
 	windowsMs := flag.Float64("windows", 0, "window length, virtual ms (0 = the SLO spec's window_ms, else 10)")
 	reportPath := flag.String("report", "", "write a self-contained HTML report of the windowed run(s)")
 	dump := flag.String("dump", "", "write each pass's windowed snapshot as <prefix>-<label>.json")
-	spillDir := flag.String("spill-dir", "", "durable on-disk spill tier root (Flash configs only); each pass uses its own subdirectory")
 	nodes := cliutil.Nodes(flag.CommandLine)
 	shards := cliutil.Shards(flag.CommandLine)
 	list := flag.Bool("list-configs", false, "list configurations and exit")
@@ -123,23 +121,15 @@ func main() {
 
 	if *nodes > 1 {
 		// Cluster mode: the sharded multi-node path. The windowed stack
-		// and the durable spill tier are single-node machinery.
+		// is single-node machinery.
 		if windowed {
 			usageError("-slo/-windows/-report/-dump are not supported with -nodes > 1")
-		}
-		if *spillDir != "" {
-			usageError("-spill-dir is not supported with -nodes > 1")
 		}
 		runClusterMode(*config, mix, opts, *nodes, *shards, *ops, *seed,
 			schedule, *faults, *trace, *metrics)
 		return
 	}
 
-	if *spillDir != "" {
-		// Per-pass subdirectories keep the healthy and degraded logs
-		// (and their recovery reports) independent.
-		opts.SpillDir = filepath.Join(*spillDir, "healthy")
-	}
 	d, err := kvstore.Deploy(kvstore.ConfigName(*config), opts)
 	if err != nil {
 		fatal("%v", err)
@@ -161,35 +151,19 @@ func main() {
 	writeObs(*trace, *metrics, rc.Tracer, rc.Metrics, "tracks: "+strings.Join(rc.Tracer.Tracks(), ", "))
 
 	printResult(*config, mix.Name, 1, res)
-	if *spillDir != "" {
-		printSpill(d.Store, "healthy")
-		if err := d.Store.CloseSpill(); err != nil {
-			fatal("closing spill tier: %v", err)
-		}
-	}
 
 	runs := []*report.Run{pass.Run("healthy", *config, mix.Name, "")}
 
 	if schedule != nil {
-		dopts := opts
-		if *spillDir != "" {
-			dopts.SpillDir = filepath.Join(*spillDir, "degraded")
-		}
 		var dpass *report.Pass
 		if windowed {
 			dpass = report.NewPass(windowNs, sloSpec)
 		}
-		fr, dstore, err := runDegraded(*config, dopts, warm, mix, *seed, *ops, schedule, dpass)
+		fr, err := runDegraded(*config, opts, warm, mix, *seed, *ops, schedule, dpass)
 		if err != nil {
 			fatal("%v", err)
 		}
 		printFault(*faults, res, fr)
-		if *spillDir != "" {
-			printSpill(dstore, "degraded")
-			if err := dstore.CloseSpill(); err != nil {
-				fatal("closing spill tier: %v", err)
-			}
-		}
 		runs = append(runs, dpass.Run("degraded", *config, mix.Name, *faults))
 	}
 
@@ -374,44 +348,21 @@ func delta(degraded, healthy float64) float64 {
 // its own observability pass (nil: none) so the two passes never share
 // state.
 func runDegraded(config string, opts kvstore.DeployOptions, warm *kvstore.WarmState, mix workload.YCSBMix, seed int64, ops int,
-	s *fault.Schedule, pass *report.Pass) (kvstore.Result, *kvstore.Store, error) {
+	s *fault.Schedule, pass *report.Pass) (kvstore.Result, error) {
 	d, err := kvstore.Deploy(kvstore.ConfigName(config), opts)
 	if err != nil {
-		return kvstore.Result{}, nil, err
+		return kvstore.Result{}, err
 	}
 	d.LoadWarm(warm)
 	rc, err := d.RunConfigWithFaults(mix, seed, s)
 	if err != nil {
-		return kvstore.Result{}, nil, err
+		return kvstore.Result{}, err
 	}
 	rc.Ops = ops
 	if pass != nil {
 		rc.Metrics, rc.Tracer, rc.Windows = pass.Metrics, pass.Tracer, pass.Windows
 	}
-	return kvstore.Run(d.Store, d.Alloc, rc), d.Store, nil
-}
-
-// printSpill appends [SPILL] lines for one pass of the durable tier:
-// I/O totals, the recovery report from opening the directory, and —
-// when a brownout was in play — the degraded-mode accounting.
-func printSpill(st *kvstore.Store, label string) {
-	s := st.SpillStats()
-	fmt.Printf("[SPILL], %s, RecordsWritten, %d\n", label, s.RecordsWritten)
-	fmt.Printf("[SPILL], %s, LiveKeys, %d\n", label, s.LiveKeys)
-	fmt.Printf("[SPILL], %s, Segments, %d\n", label, s.Segments)
-	fmt.Printf("[SPILL], %s, Fsyncs, %d\n", label, s.Fsyncs)
-	fmt.Printf("[SPILL], %s, WriteAmplification, %.3f\n", label, s.WriteAmplification())
-	if rep := st.SpillRecovery(); rep != nil {
-		fmt.Printf("[SPILL], %s, RecoveredLiveKeys, %d\n", label, rep.LiveKeys)
-		fmt.Printf("[SPILL], %s, RecoveryClean, %t\n", label, rep.Clean())
-	}
-	shed, catchup, mismatch := st.SpillCounts()
-	if shed+catchup+mismatch > 0 {
-		fmt.Printf("[SPILL], %s, ShedWrites, %d\n", label, shed)
-		fmt.Printf("[SPILL], %s, CatchupWrites, %d\n", label, catchup)
-		fmt.Printf("[SPILL], %s, PendingDirtyKeys, %d\n", label, st.SpillDirty())
-		fmt.Printf("[SPILL], %s, ReadMismatches, %d\n", label, mismatch)
-	}
+	return kvstore.Run(d.Store, d.Alloc, rc), nil
 }
 
 // resolveWorkload picks the op mix from a spec file or the built-ins.

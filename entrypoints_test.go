@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -62,5 +63,29 @@ func TestEveryCommandIsTested(t *testing.T) {
 	sort.Strings(untested)
 	for _, dir := range untested {
 		t.Errorf("%s is a package main with no _test.go: pin it with a test or delete it", dir)
+	}
+}
+
+// TestDesignNamesExistingDirs fails when DESIGN.md names an internal/<pkg>
+// or cmd/<cmd> directory that does not exist, so the inventory cannot
+// point readers at deleted or never-written code.
+func TestDesignNamesExistingDirs(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9_]+`).FindAllString(string(doc), -1)
+	if len(named) == 0 {
+		t.Fatal("DESIGN.md names no internal/ or cmd/ directory; did the pattern or the file change?")
+	}
+	seen := map[string]bool{}
+	for _, dir := range named {
+		if seen[dir] {
+			continue
+		}
+		seen[dir] = true
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("DESIGN.md names %s, which is not a directory of this module", dir)
+		}
 	}
 }

@@ -139,9 +139,9 @@ func (d *DiskInjector) Crashed() bool {
 }
 
 // TargetDegraded reports whether any resource whose name contains sub
-// (case-insensitive) currently has an active fault — the hook the
-// kvstore's durable spill tier uses to detect an SSD brownout from the
-// same schedules that degrade the memory fabric.
+// (case-insensitive) currently has an active fault — the hook cxlserve's
+// RESP backend uses to detect a spill-device brownout from the same
+// schedules that degrade the memory fabric.
 func (inj *Injector) TargetDegraded(sub string) bool {
 	if inj == nil {
 		return false

@@ -78,9 +78,6 @@ func (cc *ClusterConfig) fill() error {
 	if cc.RemoteFrac < 0 || cc.RemoteFrac > 1 {
 		return fmt.Errorf("kvstore: remote fraction %v outside [0,1]", cc.RemoteFrac)
 	}
-	if cc.Deploy.SpillDir != "" {
-		return fmt.Errorf("kvstore: cluster nodes cannot share spill dir %q", cc.Deploy.SpillDir)
-	}
 	return nil
 }
 

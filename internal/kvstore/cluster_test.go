@@ -120,10 +120,9 @@ func TestClusterSingleNodeDegeneratesToLocal(t *testing.T) {
 
 func TestClusterConfigValidation(t *testing.T) {
 	for name, cc := range map[string]ClusterConfig{
-		"zero nodes":       {Nodes: 0, Config: ConfMMEM, Mix: workload.YCSBB},
-		"negative shards":  {Nodes: 2, Shards: -1, Config: ConfMMEM, Mix: workload.YCSBB},
-		"bad remote frac":  {Nodes: 2, RemoteFrac: 1.5, Config: ConfMMEM, Mix: workload.YCSBB},
-		"shared spill dir": {Nodes: 2, Config: ConfMMEMSSD04, Deploy: DeployOptions{SpillDir: "spill"}, Mix: workload.YCSBB},
+		"zero nodes":      {Nodes: 0, Config: ConfMMEM, Mix: workload.YCSBB},
+		"negative shards": {Nodes: 2, Shards: -1, Config: ConfMMEM, Mix: workload.YCSBB},
+		"bad remote frac": {Nodes: 2, RemoteFrac: 1.5, Config: ConfMMEM, Mix: workload.YCSBB},
 	} {
 		if _, err := RunCluster(cc); err == nil {
 			t.Fatalf("%s: RunCluster accepted invalid config", name)

@@ -47,9 +47,9 @@ import (
 // write's reply, which makes one fsync cover a pipelined burst and the
 // concurrent writes of other connections. No reply acknowledges a write
 // before its fsync; another connection may read a value that is not yet
-// durable, as with Redis's appendfsync always. A tier opened with the
-// default SyncEvery of 1 fsyncs inside each append, and Commit has
-// nothing left to do.
+// durable, as with Redis's appendfsync always. A tier opened without
+// GroupCommit fsyncs inside each append, and Commit has nothing left to
+// do.
 //
 // All methods are safe for concurrent use; one mutex serializes the
 // store (the Store itself is single-threaded by contract).

@@ -42,7 +42,7 @@ func openTier(t *testing.T, dir string) *spill.Dir {
 // so writes become durable only at the backend's Commit.
 func openDeferredTier(t *testing.T, dir string) *spill.Dir {
 	t.Helper()
-	return openTierOpts(t, spill.Options{Dir: dir, SyncEvery: -1})
+	return openTierOpts(t, spill.Options{Dir: dir, GroupCommit: true})
 }
 
 func openTierOpts(t *testing.T, opts spill.Options) *spill.Dir {

@@ -191,9 +191,6 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		degG                 *obs.Gauge
 		prevHits, prevMisses uint64
 	)
-	if rc.Metrics != nil && store.HasSpill() {
-		store.InstrumentSpill(rc.Metrics)
-	}
 	if rc.Metrics != nil {
 		hitsC = rc.Metrics.Counter("kvstore_cache_hits_total", "in-memory cache hits, accumulated per epoch")
 		missC = rc.Metrics.Counter("kvstore_cache_misses_total", "in-memory cache misses, accumulated per epoch")
@@ -213,13 +210,6 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		// the machine leaves the run healthy.
 		rc.Faults.Install(eng)
 		rc.Faults.OnChange(func(sim.Time) { store.Resolve() })
-		if store.HasSpill() {
-			// SSD brownouts from the same schedule switch the durable
-			// spill tier into shedding mode; healing triggers catch-up.
-			rc.Faults.OnChange(func(sim.Time) {
-				store.SetSpillHealthy(!rc.Faults.TargetDegraded("/ssd"))
-			})
-		}
 		if rc.Metrics != nil {
 			rc.Faults.Instrument(rc.Metrics)
 		}
@@ -642,9 +632,6 @@ type Deployment struct {
 type DeployOptions struct {
 	WorkingSetBytes uint64 // default 512 GB (§4.1.1)
 	SimKeys         int    // default 1<<20
-	// SpillDir enables the durable on-disk spill tier (Flash
-	// configurations only — MMEM-SSD-*; an error otherwise).
-	SpillDir string
 }
 
 func (o *DeployOptions) fill() {
@@ -712,12 +699,6 @@ func Deploy(name ConfigName, opts DeployOptions) (*Deployment, error) {
 		return nil, fmt.Errorf("kvstore: unknown configuration %q", name)
 	}
 
-	if opts.SpillDir != "" {
-		if !cfg.Flash {
-			return nil, fmt.Errorf("kvstore: spill dir set but %s has no SSD tier (use an MMEM-SSD configuration)", name)
-		}
-		cfg.SpillDir = opts.SpillDir
-	}
 	st, err := NewStore(m, alloc, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: deploying %s: %w", name, err)

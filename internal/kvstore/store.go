@@ -120,8 +120,6 @@ type Store struct {
 	depth   float64 // serialized accesses per op (cost model)
 	keySpan float64 // heap bytes one simulated key spans (pageOf)
 
-	spill *spillState // non-nil when cfg.SpillDir is set (durable mode)
-
 	rng *rand.Rand // drives representative-key page sampling
 
 	misses, hits uint64
@@ -134,11 +132,6 @@ type StoreConfig struct {
 	MaxMemoryFrac   float64 // fraction of the working set allowed in memory (1.0 = all)
 	Flash           bool    // spill past maxmemory to SSD (KeyDB-FLASH)
 	Policy          vmm.Policy
-	// SpillDir, when non-empty (requires Flash), backs the spill path
-	// with a real on-disk durable log (internal/spill): writes persist
-	// through it, read misses verify against it, and SSD brownouts from
-	// the fault schedule switch it into shedding mode. See durable.go.
-	SpillDir string
 }
 
 // NewStore allocates the store's heap on the machine under the policy.
@@ -182,14 +175,6 @@ func NewStore(m *topology.Machine, alloc *vmm.Allocator, cfg StoreConfig) (*Stor
 	}
 	s.memKeys = s.cacheCap
 	s.rng = rand.New(rand.NewSource(1))
-	if cfg.SpillDir != "" {
-		if !cfg.Flash {
-			return nil, fmt.Errorf("kvstore: SpillDir requires a Flash configuration")
-		}
-		if err := s.openSpill(); err != nil {
-			return nil, err
-		}
-	}
 	s.refreshLatencies(nil)
 	return s, nil
 }
@@ -404,11 +389,6 @@ func (s *Store) ServiceTime(op workload.Op) float64 {
 				t += s.ssdLatency + flashReadSoftwareNs
 				s.ssdReadBytes += valueBytes
 			}
-			if read && s.spill != nil {
-				// Durable mode: a miss read hits the spill tier; verify
-				// the on-disk record self-identifies as this key.
-				s.spillVerify(key)
-			}
 			// Writes of non-resident keys need no SSD read; both kinds
 			// admit the key afterwards.
 			s.admit(key)
@@ -420,12 +400,6 @@ func (s *Store) ServiceTime(op workload.Op) float64 {
 			// KeyDB-FLASH persists every write to disk.
 			t += flashWriteSoftwareNs
 			s.ssdWriteBytes += valueBytes
-			if s.spill != nil {
-				// Durable mode: the write persists through the real
-				// on-disk log (or is shed during a brownout). Spill I/O
-				// backs durability only; it never feeds into t.
-				s.spillWrite(key)
-			}
 		}
 	}
 	return t

@@ -48,11 +48,6 @@ const (
 	MetricSpillRecoveryQuarantined = "spill_recovery_records_quarantined_total"
 	MetricSpillRecoveryTornBytes   = "spill_recovery_torn_bytes_total"
 	MetricSpillRecoveryNs          = "spill_recovery_duration_ns"
-	// Durable-mode kvstore counters: writes shed during a spill-tier
-	// brownout and the catch-up re-persists when it heals.
-	MetricSpillShedWrites    = "spill_shed_writes_total"
-	MetricSpillCatchupWrites = "spill_catchup_writes_total"
-	MetricSpillReadMismatch  = "spill_read_mismatch_total"
 
 	// RESP wire-protocol front end (internal/resp): per-command traffic
 	// and connection lifecycle, plus the kvstore backend's simulated

@@ -387,7 +387,7 @@ func (g *groupWriter) commitRound(d *spill.Dir) {
 // under shim until the first error, and returns the writers' models.
 func runGroupWorkload(t *testing.T, dir string, shim spill.Shim) []*groupWriter {
 	t.Helper()
-	d, _, err := spill.Open(spill.Options{Dir: dir, SegmentBytes: groupSeg, SyncEvery: -1, Shim: shim})
+	d, _, err := spill.Open(spill.Options{Dir: dir, SegmentBytes: groupSeg, GroupCommit: true, Shim: shim})
 	if err != nil {
 		t.Fatalf("open under shim: %v", err)
 	}

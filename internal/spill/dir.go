@@ -29,11 +29,10 @@ type Options struct {
 	Dir string
 	// SegmentBytes is the rotation threshold (default 4 MiB).
 	SegmentBytes int64
-	// SyncEvery fsyncs after every N acknowledged appends (default 1:
-	// every Put is durable before it returns). Negative disables
-	// automatic fsync: only rotation, Sync and SyncThrough flush, and a
-	// crash loses everything since the last flush boundary.
-	SyncEvery int
+	// GroupCommit leaves appends unsynced: only rotation, Sync and
+	// SyncThrough flush, and a crash loses everything since the last
+	// flush boundary. By default every Put is durable before it returns.
+	GroupCommit bool
 	// Shim, when non-nil, intercepts physical writes and fsyncs.
 	Shim Shim
 }
@@ -41,12 +40,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 1
-	}
-	if o.SyncEvery < 0 {
-		o.SyncEvery = 0
 	}
 }
 
@@ -80,9 +73,9 @@ func (s Stats) WriteAmplification() float64 {
 }
 
 // Dir is an open spill tier rooted at one directory. It is not safe for
-// concurrent use; the kvstore drives it from the single-threaded DES
-// loop and real services must wrap it in their own lock. SyncThrough is
-// the one exception: it may be called without that lock.
+// concurrent use: its owner (kvstore's RESP backend) wraps it in its own
+// lock. SyncThrough is the one exception: it may be called without that
+// lock.
 type Dir struct {
 	opts Options
 
@@ -98,7 +91,6 @@ type Dir struct {
 	activeID uint32
 	// activeSize includes torn bytes a failed write left on the tail.
 	activeSize int64
-	unsynced   int
 
 	// sealed read handles, opened on demand.
 	readers map[uint32]*os.File
@@ -140,7 +132,7 @@ type counts struct {
 // existing segments: hint files accelerate sealed segments, torn tails
 // are truncated, corrupt ranges are quarantined, and the keydir is
 // rebuilt deterministically. The returned RecoveryReport describes what
-// recovery found (also available later via Recovery).
+// recovery found.
 func Open(opts Options) (*Dir, *RecoveryReport, error) {
 	opts.fill()
 	if opts.Dir == "" {
@@ -191,7 +183,7 @@ func segmentIDs(dir string) ([]uint32, error) {
 }
 
 // Put appends a key/value record; when it returns nil the write is
-// acknowledged (and, with SyncEvery=1, durable).
+// acknowledged (and, without GroupCommit, durable).
 func (d *Dir) Put(key, val []byte) error {
 	return d.append(Record{Key: key, Val: val})
 }
@@ -225,8 +217,7 @@ func (d *Dir) append(r Record) error {
 	d.n.records.Add(1)
 	d.n.userBytes.Add(uint64(len(r.Key) + len(r.Val)))
 	d.n.liveKeys.Store(uint64(len(d.keydir)))
-	d.unsynced++
-	if d.opts.SyncEvery > 0 && d.unsynced >= d.opts.SyncEvery {
+	if !d.opts.GroupCommit {
 		if err := d.Sync(); err != nil {
 			return err
 		}
@@ -320,7 +311,6 @@ func (d *Dir) Sync() error {
 	if err := d.fsync(d.active); err != nil {
 		return err
 	}
-	d.unsynced = 0
 	d.c.mu.Lock()
 	d.markDurable(d.seq)
 	d.c.mu.Unlock()
@@ -500,9 +490,6 @@ func (d *Dir) Stats() Stats {
 		Segments:       int(d.n.segments.Load()),
 	}
 }
-
-// Recovery returns the report from Open's recovery pass.
-func (d *Dir) Recovery() *RecoveryReport { return d.recovery }
 
 // Close syncs (best effort once failed) and closes every handle.
 //

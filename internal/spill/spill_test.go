@@ -125,7 +125,7 @@ func TestPutGetDeleteAcrossReopen(t *testing.T) {
 func TestRotationWritesHintsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force many rotations.
-	d, _ := mustOpen(t, spill.Options{Dir: dir, SegmentBytes: 512, SyncEvery: 10})
+	d, _ := mustOpen(t, spill.Options{Dir: dir, SegmentBytes: 512})
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := d.Put(key(i), val(i, 0)); err != nil {
@@ -343,12 +343,33 @@ func TestWriteAmplification(t *testing.T) {
 	}
 }
 
-// TestSyncThroughSemantics pins SyncThrough's contract on a deferred-sync
-// tier: one fsync covers everything appended before it, a covered seq
-// returns without another fsync, an unappended seq is an error, and a
-// closed Dir still answers for what Close made durable.
+// TestSyncThroughSemantics pins both sync policies. By default every
+// Put fsyncs before it returns, so SyncThrough has nothing left to do.
+// With GroupCommit no Put fsyncs; one SyncThrough fsync covers
+// everything appended before it, a covered seq returns without another
+// fsync, an unappended seq is an error, and a closed Dir still answers
+// for what Close made durable.
 func TestSyncThroughSemantics(t *testing.T) {
-	d, _ := mustOpen(t, spill.Options{Dir: t.TempDir(), SyncEvery: -1})
+	def, _ := mustOpen(t, spill.Options{Dir: t.TempDir()})
+	defer def.Close()
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := def.Put(key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := def.Stats()
+	if st.RecordsWritten != n || st.Fsyncs < st.RecordsWritten {
+		t.Fatalf("default puts: %d records, %d fsyncs; want every put fsynced", st.RecordsWritten, st.Fsyncs)
+	}
+	if err := def.SyncThrough(def.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	if got := def.Stats().Fsyncs; got != st.Fsyncs {
+		t.Fatalf("SyncThrough after durable puts fsynced again: %d → %d", st.Fsyncs, got)
+	}
+
+	d, _ := mustOpen(t, spill.Options{Dir: t.TempDir(), GroupCommit: true})
 	var seqs []uint64
 	for i := 0; i < 3; i++ {
 		if err := d.Put(key(i), val(i, 0)); err != nil {
@@ -356,8 +377,8 @@ func TestSyncThroughSemantics(t *testing.T) {
 		}
 		seqs = append(seqs, d.Seq())
 	}
-	if got := d.Stats().Fsyncs; got != 0 {
-		t.Fatalf("deferred-sync puts fsynced %d times", got)
+	if st := d.Stats(); st.RecordsWritten != 3 || st.Fsyncs != 0 {
+		t.Fatalf("group-commit puts: %d records, %d fsyncs; want 3 and 0", st.RecordsWritten, st.Fsyncs)
 	}
 	if err := d.SyncThrough(seqs[1]); err != nil {
 		t.Fatal(err)
@@ -392,7 +413,7 @@ func TestSyncThroughSemantics(t *testing.T) {
 // and a hint fsync each), and every committed value recovers.
 func TestSyncThroughConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	d, _ := mustOpen(t, spill.Options{Dir: dir, SegmentBytes: 4 << 10, SyncEvery: -1})
+	d, _ := mustOpen(t, spill.Options{Dir: dir, SegmentBytes: 4 << 10, GroupCommit: true})
 	const writers, perWriter = 4, 200
 	var mu sync.Mutex
 	var wg sync.WaitGroup
