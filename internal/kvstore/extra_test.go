@@ -108,7 +108,7 @@ func TestInstrumentedDaemonEvacuatesDegradedNode(t *testing.T) {
 		Run(d.Store, d.Alloc, rc)
 		n := 0
 		for i := range d.Store.Space().Pages {
-			if d.Store.Space().Pages[i].Node == d.Tiers.Slow[0] {
+			if int(d.Store.Space().Pages[i].NodeID) == d.Tiers.Slow[0].ID {
 				n++
 			}
 		}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cxlsim/internal/memsim"
@@ -16,13 +17,53 @@ func fastOpts() DeployOptions {
 	return DeployOptions{WorkingSetBytes: 512 << 30, SimKeys: 1 << 16}
 }
 
-// nodeShare is the fraction of the space's pages on each node.
-func nodeShare(s *vmm.Space) map[*topology.Node]float64 {
-	share := map[*topology.Node]float64{}
+// nodeShare is the fraction of the space's pages on each node, by ID.
+func nodeShare(s *vmm.Space) map[int]float64 {
+	share := map[int]float64{}
 	for i := range s.Pages {
-		share[s.Pages[i].Node] += 1 / float64(len(s.Pages))
+		share[int(s.Pages[i].NodeID)] += 1 / float64(len(s.Pages))
 	}
 	return share
+}
+
+// TestDeployAllocBound: building the default 1:1 deployment, 512 GB in
+// 262,144 pages of 2 MiB, allocates at most 1.35 times the bytes of its
+// 16-byte page records. Per-page pointers, per-page placement slices or
+// per-key state a daemon-less, Flash-less store never reads push it past
+// the bound.
+func TestDeployAllocBound(t *testing.T) {
+	const pages = (512 << 30) / vmm.DefaultPageSize
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := Deploy(ConfInter11, DeployOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Store.Space().Pages); n != pages {
+		t.Fatalf("deployment has %d pages, want %d", n, pages)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*pages*135/100)
+	t.Logf("Deploy(%s) allocated %d bytes (bound %d)", ConfInter11, got, limit)
+	if got > limit {
+		t.Fatalf("Deploy(%s) allocated %d bytes, want at most %d", ConfInter11, got, limit)
+	}
+}
+
+// BenchmarkDeploy times building a default-size deployment: the page
+// table of a 512 GB working set and the store's per-key state.
+func BenchmarkDeploy(b *testing.B) {
+	for _, name := range []ConfigName{ConfInter11, ConfMMEMSSD04, ConfHotPromote} {
+		b.Run(string(name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Deploy(name, DeployOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestDeployAllConfigs(t *testing.T) {
@@ -207,7 +248,7 @@ func TestBytesPerKeyAndPages(t *testing.T) {
 	}
 	// All pages must be on DRAM for the MMEM config.
 	for i := range d.Store.Space().Pages {
-		if d.Store.Space().Pages[i].Node.Kind != topology.DRAM {
+		if d.Machine.Nodes[d.Store.Space().Pages[i].NodeID].Kind != topology.DRAM {
 			t.Fatal("MMEM config placed a page off DRAM")
 		}
 	}
@@ -228,7 +269,7 @@ func TestServiceTimePricesMigratedPageFromRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, space := d.Store, d.Store.Space()
-		src, cxl := space.Pages[0].Node, d.Machine.CXLNodes()[0]
+		src, cxl := d.Machine.Nodes[space.Pages[0].NodeID], d.Machine.CXLNodes()[0]
 		migrate := func() {
 			for p := 0; float64(p)*float64(space.PageSize) < st.keySpan; p++ {
 				if err := d.Alloc.Migrate(space, p, cxl); err != nil {
@@ -263,8 +304,8 @@ func TestInterleaveConfigPlacesOnCXL(t *testing.T) {
 	}
 	share := nodeShare(d.Store.Space())
 	cxlShare := 0.0
-	for n, f := range share {
-		if n.Kind == topology.CXL {
+	for id, f := range share {
+		if d.Machine.Nodes[id].Kind == topology.CXL {
 			cxlShare += f
 		}
 	}

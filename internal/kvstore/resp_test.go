@@ -1,14 +1,22 @@
 package kvstore
 
 import (
+	"bufio"
+	"context"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"cxlsim/internal/obs"
 	"cxlsim/internal/resp"
@@ -502,5 +510,130 @@ func concurrentScrape(t *testing.T, tier *spill.Dir, commit bool) {
 	}
 	if st := tier.Stats(); commit && (st.Fsyncs == 0 || st.Fsyncs > st.RecordsWritten) {
 		t.Errorf("%d commits cost %d fsyncs; want between 1 and one per record", st.RecordsWritten, st.Fsyncs)
+	}
+}
+
+// sleepSyncShim blocks each fsync's thread in a real nanosleep syscall,
+// as a slow device's fsync would, after writing "sync" to started.
+type sleepSyncShim struct {
+	sleep   time.Duration
+	started io.Writer
+}
+
+func (s *sleepSyncShim) Write(_ string, _ int64, p []byte) ([]byte, error) { return p, nil }
+
+func (s *sleepSyncShim) Sync(string) error {
+	io.WriteString(s.started, "sync\n")
+	ts := syscall.NsecToTimespec(s.sleep.Nanoseconds())
+	for syscall.Nanosleep(&ts, &ts) == syscall.EINTR {
+	}
+	return nil
+}
+
+// slowFsyncEnv makes TestSlowFsyncServerProcess serve instead of skip.
+const slowFsyncEnv = "KVSTORE_SLOW_FSYNC_SERVER"
+
+// slowFsync is the server process's fsync time: under the 10 ms after
+// which the runtime takes a processor back from any blocked syscall.
+const slowFsync = 8 * time.Millisecond
+
+// TestSlowFsyncServerProcess is the server of
+// TestCommitFsyncDoesNotStallOtherConns, run in a process of its own:
+// a durable RESP backend whose fsyncs sleep slowFsync. It prints its
+// address, then "sync" as each fsync starts, and stops when stdin
+// closes.
+func TestSlowFsyncServerProcess(t *testing.T) {
+	if os.Getenv(slowFsyncEnv) == "" {
+		t.Skip("server half of TestCommitFsyncDoesNotStallOtherConns")
+	}
+	shim := &sleepSyncShim{sleep: slowFsync, started: os.Stdout}
+	b := NewRESPBackend(respStore(t), openTierOpts(t, spill.Options{Dir: t.TempDir(), GroupCommit: true, Shim: shim}))
+	if err := b.Set([]byte("g"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := resp.NewServer(b, resp.Options{})
+	go srv.Serve(ln)
+	fmt.Println(ln.Addr())
+	io.Copy(io.Discard, os.Stdin)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
+// TestCommitFsyncDoesNotStallOtherConns: while one connection's SET
+// waits for a slow fsync, a second connection's GET of a memory-resident
+// key is answered within a third of that fsync. RESPBackend.Commit runs
+// the fsync on a goroutine of its own. Called straight from the
+// connection goroutine, the syscall keeps its processor, and with
+// another processor idle the runtime waits up to 10 ms before it polls
+// the network again, so the GET waits for the whole fsync. That needs an
+// idle server with two processors: the server runs in a child process at
+// GOMAXPROCS=2, since the test's own client goroutines would keep the
+// runtime polling, and each probe starts after a pause. The fastest of
+// three probes counts, so one noisy probe does not fail the test; a
+// stall delays every probe.
+func TestCommitFsyncDoesNotStallOtherConns(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSlowFsyncServerProcess$")
+	cmd.Env = append(os.Environ(), slowFsyncEnv+"=1", "GOMAXPROCS=2")
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer stdin.Close()
+	events := bufio.NewReader(stdout)
+	line := func(r *bufio.Reader, want string) {
+		t.Helper()
+		if got, err := r.ReadString('\n'); err != nil || got != want {
+			t.Fatalf("read %q (%v), want %q", got, err, want)
+		}
+	}
+	addr, err := events.ReadString('\n')
+	if err != nil {
+		t.Fatalf("server address: %v", err)
+	}
+	dial := func() (net.Conn, *bufio.Reader) {
+		c, err := net.Dial("tcp", strings.TrimSpace(addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		return c, bufio.NewReader(c)
+	}
+	setter, setReplies := dial()
+	getter, getReplies := dial()
+
+	fastest := time.Duration(math.MaxInt64)
+	for probe := 0; probe < 3; probe++ {
+		// Let the server go idle first, so no thread is busy when the
+		// SET arrives; the one that picks it up is the one polling.
+		time.Sleep(20 * time.Millisecond)
+		if _, err := io.WriteString(setter, "SET k v\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		line(events, "sync\n")
+		start := time.Now()
+		if _, err := io.WriteString(getter, "GET g\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		line(getReplies, "$1\r\n")
+		line(getReplies, "v\r\n")
+		fastest = min(fastest, time.Since(start))
+		line(setReplies, "+OK\r\n")
+	}
+	if fastest > slowFsync/3 {
+		t.Fatalf("fastest GET took %v while another connection's fsync slept %v; want under %v", fastest, slowFsync, slowFsync/3)
 	}
 }

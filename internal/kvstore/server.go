@@ -680,9 +680,8 @@ func Deploy(name ConfigName, opts DeployOptions) (*Deployment, error) {
 		// main-memory usage at half the dataset size; the hot-page
 		// promotion patches then migrate. We cap DRAM by reserving the
 		// remainder before allocating.
-		reserve := vmm.NewSpace(0)
 		capBytes := opts.WorkingSetBytes / 2
-		if err := reserveAllBut(alloc, reserve, dram[0], capBytes); err != nil {
+		if err := reserveAllBut(alloc, dram[0], capBytes); err != nil {
 			return nil, err
 		}
 		cfg.Policy = vmm.InterleaveNM{Top: dram[:1], Low: cxl, N: 1, M: 1}
@@ -708,12 +707,15 @@ func Deploy(name ConfigName, opts DeployOptions) (*Deployment, error) {
 }
 
 // reserveAllBut fills node n except for keep bytes, emulating a cgroup/
-// numactl cap on usable main memory.
-func reserveAllBut(alloc *vmm.Allocator, space *vmm.Space, n *topology.Node, keep uint64) error {
+// numactl cap on usable main memory. Nothing reads the reserved pages,
+// so the reservation is one page: of the size default-sized pages would
+// cover, which charges the allocator the same bytes.
+func reserveAllBut(alloc *vmm.Allocator, n *topology.Node, keep uint64) error {
 	if n.Capacity <= keep {
 		return nil
 	}
-	return alloc.Alloc(space, n.Capacity-keep, vmm.Bind{Nodes: []*topology.Node{n}})
+	size := (n.Capacity - keep + vmm.DefaultPageSize - 1) / vmm.DefaultPageSize * vmm.DefaultPageSize
+	return alloc.Alloc(vmm.NewSpace(size), size, vmm.Bind{Nodes: []*topology.Node{n}})
 }
 
 // RunConfigFor builds the standard run configuration for a deployment.
@@ -814,7 +816,7 @@ func (d *Deployment) LoadWarm(w *WarmState) {
 	if w == nil {
 		return
 	}
-	d.Store.Space().LoadPlacement(w.placement, d.Machine)
+	d.Store.Space().LoadPlacement(w.placement)
 	d.Alloc.SetUsage(w.used)
 	d.Daemon.(*tiering.HotPromote).Threshold = w.threshold
 	// math/rand sources cannot be copied: replay the draws instead.

@@ -85,10 +85,11 @@ type Store struct {
 	space   *vmm.Space
 	ssd     *memsim.Path
 
-	resident  []bool  // key → in-memory?
-	clockRef  []uint8 // CLOCK reference bits
+	// CLOCK cache state, Flash stores only: one byte of keyResident and
+	// keyRef flags per key, the hand, and the resident key count.
+	clock     []uint8
 	clockHand int
-	memKeys   int // resident key count
+	memKeys   int
 	cacheCap  int // max resident keys (maxmemory)
 
 	// Per-epoch traffic accumulators and the loaded-latency cache, all
@@ -146,34 +147,28 @@ func NewStore(m *topology.Machine, alloc *vmm.Allocator, cfg StoreConfig) (*Stor
 		return nil, fmt.Errorf("kvstore: maxmemory < working set requires Flash")
 	}
 	s := &Store{
-		cfg:      cfg,
-		machine:  m,
-		alloc:    alloc,
-		space:    vmm.NewSpace(0),
-		ssd:      m.SSDPath(),
-		resident: make([]bool, cfg.SimKeys),
-		clockRef: make([]uint8, cfg.SimKeys),
-		depth:    DefaultDepth(cfg.WorkingSetBytes),
+		cfg:     cfg,
+		machine: m,
+		alloc:   alloc,
+		space:   vmm.NewSpace(0),
+		ssd:     m.SSDPath(),
+		depth:   DefaultDepth(cfg.WorkingSetBytes),
 	}
 	s.keySpan = s.BytesPerKey() * cfg.MaxMemoryFrac
 	memBytes := uint64(float64(cfg.WorkingSetBytes) * cfg.MaxMemoryFrac)
 	if err := alloc.Alloc(s.space, memBytes, cfg.Policy); err != nil {
 		return nil, fmt.Errorf("kvstore: allocating %d bytes: %w", memBytes, err)
 	}
-	residentFrac := cfg.MaxMemoryFrac
 	if cfg.Flash {
-		residentFrac *= 1 - flashCacheOverhead
+		s.cacheCap = max(1, int(float64(cfg.SimKeys)*(cfg.MaxMemoryFrac*(1-flashCacheOverhead))))
+		// Initially the hottest possible prefix is resident (YCSB load
+		// phase populates in key order; the tail spills).
+		s.clock = make([]uint8, cfg.SimKeys)
+		for k := range s.cacheCap {
+			s.clock[k] = keyResident
+		}
+		s.memKeys = s.cacheCap
 	}
-	s.cacheCap = int(float64(cfg.SimKeys) * residentFrac)
-	if s.cacheCap < 1 {
-		s.cacheCap = 1
-	}
-	// Initially the hottest possible prefix is resident (YCSB load phase
-	// populates in key order; with Flash the tail spills).
-	for k := 0; k < s.cacheCap; k++ {
-		s.resident[k] = true
-	}
-	s.memKeys = s.cacheCap
 	s.rng = rand.New(rand.NewSource(1))
 	s.refreshLatencies(nil)
 	return s, nil
@@ -208,11 +203,7 @@ func (s *Store) WarmCache(mix workload.YCSBMix, draws int, seed int64) {
 			if key >= n {
 				key %= n
 			}
-			if s.resident[key] {
-				s.clockRef[key] = 1
-			} else {
-				s.admit(key)
-			}
+			s.reference(key)
 		}
 	}
 	s.hits, s.misses = 0, 0
@@ -361,7 +352,7 @@ func (s *Store) HitRate() float64 {
 func (s *Store) ServiceTime(op workload.Op) float64 {
 	key := op.Key % uint64(s.cfg.SimKeys)
 	page := s.pageOf(key)
-	node := s.space.Pages[page].Node
+	node := s.machine.Nodes[s.space.Pages[page].NodeID]
 	lat := s.nodeLatency[node.ID]
 
 	// Dict walk + value stream on the resident path. The log-normal
@@ -382,19 +373,16 @@ func (s *Store) ServiceTime(op workload.Op) float64 {
 	}
 
 	if s.cfg.Flash {
-		if !s.resident[key] {
+		// Both kinds admit a non-resident key; only reads fetch it.
+		if s.reference(key) {
+			s.hits++
+		} else {
 			s.misses++
 			if read {
 				// Analytic RocksDB Get from SSD.
 				t += s.ssdLatency + flashReadSoftwareNs
 				s.ssdReadBytes += valueBytes
 			}
-			// Writes of non-resident keys need no SSD read; both kinds
-			// admit the key afterwards.
-			s.admit(key)
-		} else {
-			s.hits++
-			s.clockRef[key] = 1
 		}
 		if !read {
 			// KeyDB-FLASH persists every write to disk.
@@ -405,25 +393,41 @@ func (s *Store) ServiceTime(op workload.Op) float64 {
 	return t
 }
 
+// CLOCK flags of a key. A key that is not resident has neither.
+const (
+	keyResident uint8 = 1 << iota
+	keyRef
+)
+
+// reference sets key's CLOCK reference flag, admitting the key first if
+// it is not resident, and reports whether it was resident.
+func (s *Store) reference(key uint64) bool {
+	if s.clock[key]&keyResident != 0 {
+		s.clock[key] |= keyRef
+		return true
+	}
+	s.admit(key)
+	return false
+}
+
 // admit brings a key into memory, evicting via CLOCK if at capacity.
 func (s *Store) admit(key uint64) {
 	if s.memKeys >= s.cacheCap {
 		// CLOCK eviction.
 		for {
-			if s.resident[s.clockHand] {
-				if s.clockRef[s.clockHand] == 0 {
-					s.resident[s.clockHand] = false
+			if f := s.clock[s.clockHand]; f&keyResident != 0 {
+				if f&keyRef == 0 {
+					s.clock[s.clockHand] = 0
 					s.memKeys--
 					s.advanceClock()
 					break
 				}
-				s.clockRef[s.clockHand] = 0
+				s.clock[s.clockHand] = keyResident
 			}
 			s.advanceClock()
 		}
 	}
-	s.resident[key] = true
-	s.clockRef[key] = 1
+	s.clock[key] = keyResident | keyRef
 	s.memKeys++
 }
 

@@ -124,12 +124,7 @@ func TestKeyStreamStopsEarly(t *testing.T) {
 func warmCacheSerial(s *Store, mix workload.YCSBMix, draws int, seed int64) {
 	gen := workload.NewYCSB(mix, uint64(s.cfg.SimKeys), seed)
 	for i := 0; i < draws; i++ {
-		key := gen.Next().Key % uint64(s.cfg.SimKeys)
-		if s.resident[key] {
-			s.clockRef[key] = 1
-		} else {
-			s.admit(key)
-		}
+		s.reference(gen.Next().Key % uint64(s.cfg.SimKeys))
 	}
 	s.hits, s.misses = 0, 0
 }
@@ -154,7 +149,7 @@ func TestWarmCacheMatchesSerial(t *testing.T) {
 		waitGoroutines(t, start)
 		warmCacheSerial(st[1], mix, draws, 991)
 		got, want := st[0], st[1]
-		if !reflect.DeepEqual(got.resident, want.resident) || !reflect.DeepEqual(got.clockRef, want.clockRef) ||
+		if !reflect.DeepEqual(got.clock, want.clock) ||
 			got.clockHand != want.clockHand || got.memKeys != want.memKeys {
 			t.Errorf("%s: WarmCache state differs from the serial reference (hand %d/%d, keys %d/%d)",
 				mix.Name, got.clockHand, want.clockHand, got.memKeys, want.memKeys)

@@ -55,21 +55,10 @@ type entry struct {
 type Stats struct {
 	RecordsWritten uint64
 	BytesWritten   uint64
-	UserBytes      uint64 // key+value payload bytes in acknowledged appends
 	Reads          uint64
 	Fsyncs         uint64
-	Rotations      uint64
 	LiveKeys       int
 	Segments       int
-}
-
-// WriteAmplification is physical bytes written per logical user
-// (key+value payload) byte.
-func (s Stats) WriteAmplification() float64 {
-	if s.UserBytes == 0 {
-		return 0
-	}
-	return float64(s.BytesWritten) / float64(s.UserBytes)
 }
 
 // Dir is an open spill tier rooted at one directory. It is not safe for
@@ -124,8 +113,8 @@ var errClosed = errors.New("spill: closed")
 // the functions Instrument registers read them from whatever goroutine
 // scrapes the registry while the owner writes; Stats loads them.
 type counts struct {
-	records, bytes, userBytes, reads, fsyncs, rotations atomic.Uint64
-	liveKeys, segments                                  atomic.Uint64 // current values, not totals
+	records, bytes, reads, fsyncs atomic.Uint64
+	liveKeys, segments            atomic.Uint64 // current values, not totals
 }
 
 // Open opens (creating if needed) the tier at opts.Dir, recovering
@@ -215,7 +204,6 @@ func (d *Dir) append(r Record) error {
 		d.keydir[string(r.Key)] = entry{seg: d.activeID, off: off, size: uint32(len(buf)), seq: r.Seq}
 	}
 	d.n.records.Add(1)
-	d.n.userBytes.Add(uint64(len(r.Key) + len(r.Val)))
 	d.n.liveKeys.Store(uint64(len(d.keydir)))
 	if !d.opts.GroupCommit {
 		if err := d.Sync(); err != nil {
@@ -385,7 +373,6 @@ func (d *Dir) rotate() error {
 	}
 	d.active = f
 	d.activeSize = 0
-	d.n.rotations.Add(1)
 	d.n.segments.Add(1)
 	return nil
 }
@@ -482,10 +469,8 @@ func (d *Dir) Stats() Stats {
 	return Stats{
 		RecordsWritten: d.n.records.Load(),
 		BytesWritten:   d.n.bytes.Load(),
-		UserBytes:      d.n.userBytes.Load(),
 		Reads:          d.n.reads.Load(),
 		Fsyncs:         d.n.fsyncs.Load(),
-		Rotations:      d.n.rotations.Load(),
 		LiveKeys:       int(d.n.liveKeys.Load()),
 		Segments:       int(d.n.segments.Load()),
 	}
@@ -527,23 +512,6 @@ func (d *Dir) Close() error {
 		delete(d.readers, id)
 	}
 	return first
-}
-
-// KeydirDump renders the keydir canonically — keys in lexicographic
-// order, one line per live key — so recovered states can be compared
-// byte-for-byte across runs and parallelism settings.
-func (d *Dir) KeydirDump() []byte {
-	keys := make([]string, 0, len(d.keydir))
-	for k := range d.keydir {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b []byte
-	for _, k := range keys {
-		e := d.keydir[k]
-		b = fmt.Appendf(b, "%x seq=%d seg=%d off=%d size=%d\n", k, e.seq, e.seg, e.off, e.size)
-	}
-	return b
 }
 
 // Instrument publishes the tier's counters and the recovery report into

@@ -77,13 +77,13 @@ func TestHotPromoteDemotionFallsBackToAlternateTier(t *testing.T) {
 		t.Fatal("promotion into a full fast tier produced no demotions")
 	}
 	for i := range space.Pages {
-		if space.Pages[i].Node == cxl0 {
+		if space.Pages[i].NodeID == int32(cxl0.ID) {
 			t.Fatalf("page %d demoted onto the degraded cxl0", i)
 		}
 	}
 	onAlternate := 0
 	for i := 0; i < pages; i++ {
-		if space.Pages[i].Node == cxl1 {
+		if space.Pages[i].NodeID == int32(cxl1.ID) {
 			onAlternate++
 		}
 	}
@@ -127,8 +127,8 @@ func TestHotPromoteEvacuatesDegradedNode(t *testing.T) {
 		t.Fatalf("evacuated %d pages, want all %d off the degraded node", rep.PromotedPages, pages)
 	}
 	for i := range space.Pages {
-		if space.Pages[i].Node != dram {
-			t.Fatalf("page %d still on %s after evacuation", i, space.Pages[i].Node.Name)
+		if space.Pages[i].NodeID != int32(dram.ID) {
+			t.Fatalf("page %d still on %s after evacuation", i, m.Node(int(space.Pages[i].NodeID)).Name)
 		}
 	}
 	// Evacuation respects the shared migration budget: with a one-page
@@ -145,5 +145,37 @@ func TestHotPromoteEvacuatesDegradedNode(t *testing.T) {
 	d2.SetHealth(fakeHealth{cxl0: true})
 	if rep := d2.Tick(0, space2, alloc); rep.PromotedPages != 1 {
 		t.Fatalf("budget-capped evacuation moved %d pages, want 1", rep.PromotedPages)
+	}
+}
+
+// countingHealth counts Degraded calls and reports every node healthy.
+type countingHealth struct{ calls int }
+
+func (c *countingHealth) Degraded(*topology.Node) bool { c.calls++; return false }
+
+// TestTickAsksHealthOncePerSlowNode: a tick with nothing to migrate asks
+// the health source about each slow node once, however many pages those
+// nodes hold.
+func TestTickAsksHealthOncePerSlowNode(t *testing.T) {
+	m := topology.Testbed()
+	alloc := vmm.NewAllocator(m)
+	cxl := m.CXLNodes()
+	space := vmm.NewSpace(0)
+	if err := alloc.Alloc(space, 64*vmm.DefaultPageSize, vmm.InterleaveNM{Top: cxl[:1], Low: cxl[1:], N: 1, M: 1}); err != nil {
+		t.Fatal(err)
+	}
+	h := &countingHealth{}
+	d := &HotPromote{
+		Tiers:          Tiers{Fast: m.DRAMNodes(0), Slow: cxl, Health: h},
+		RateLimitBytes: 8 * vmm.DefaultPageSize,
+		Threshold:      1e9,
+	}
+	for tick := 1; tick <= 3; tick++ {
+		if rep := d.Tick(0, space, alloc); rep.TotalBytes() != 0 {
+			t.Fatalf("tick %d migrated %d bytes with an unreachable threshold", tick, rep.TotalBytes())
+		}
+		if want := tick * len(cxl); h.calls != want {
+			t.Fatalf("after %d ticks Health.Degraded ran %d times, want %d", tick, h.calls, want)
+		}
 	}
 }

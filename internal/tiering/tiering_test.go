@@ -65,7 +65,7 @@ func (h *harness) fastHeatShare(t *testing.T) float64 {
 	fast, total := 0.0, 0.0
 	for i := range h.space.Pages {
 		heat := h.space.Heat(i)
-		if slices.Contains(h.tiers.Fast, h.space.Pages[i].Node) {
+		if slices.Contains(h.tiers.Fast, h.m.Node(int(h.space.Pages[i].NodeID))) {
 			fast += heat
 		}
 		total += heat
@@ -158,7 +158,7 @@ func TestHotPromoteDemotesToMakeRoom(t *testing.T) {
 	// Heat up only CXL pages so every promotion needs a demotion (the
 	// fast tier is exactly full: capacity == half the dataset).
 	for i := range h.space.Pages {
-		if slices.Contains(h.tiers.Slow, h.space.Pages[i].Node) {
+		if slices.Contains(h.tiers.Slow, h.m.Node(int(h.space.Pages[i].NodeID))) {
 			h.space.Touch(i, 100)
 		}
 	}

@@ -205,7 +205,7 @@ func TestPlacementRoundTrip(t *testing.T) {
 	if err := a1.Migrate(src, 1, m1.DRAMNodes(0)[0]); err != nil {
 		t.Fatal(err)
 	}
-	dst.LoadPlacement(src.SavePlacement(), m2)
+	dst.LoadPlacement(src.SavePlacement())
 	a2.SetUsage(a1.Usage())
 
 	compare := func(stage string) {
@@ -214,8 +214,8 @@ func TestPlacementRoundTrip(t *testing.T) {
 			if got, want := dst.Heat(i), src.Heat(i); got != want {
 				t.Fatalf("%s: page %d heat %x, source %x", stage, i, got, want)
 			}
-			if dst.Pages[i].Node.ID != src.Pages[i].Node.ID || dst.Pages[i].Node != m2.Node(src.Pages[i].Node.ID) {
-				t.Fatalf("%s: page %d on node %d, source on %d", stage, i, dst.Pages[i].Node.ID, src.Pages[i].Node.ID)
+			if dst.Pages[i].NodeID != src.Pages[i].NodeID || m2.Node(int(dst.Pages[i].NodeID)).Name != m1.Node(int(src.Pages[i].NodeID)).Name {
+				t.Fatalf("%s: page %d on node %d, source on %d", stage, i, dst.Pages[i].NodeID, src.Pages[i].NodeID)
 			}
 		}
 		for _, n := range m1.Nodes {
@@ -227,4 +227,89 @@ func TestPlacementRoundTrip(t *testing.T) {
 	compare("after load")
 	churn(25, src, dst)
 	compare("after further epochs")
+}
+
+// TestLazyDecayExactAcrossStampWrap starts the decay epoch just below
+// each of the first two sweep points, where the pages' 32-bit stamps
+// reach 2^31 and wrap at 2^32, and drives a lazy Space and the eager
+// reference through the same touches, batched touches, decay epochs and
+// one factor change across the boundary. Pages left untouched carry
+// their pending decay over it. Every page must match bit for bit.
+func TestLazyDecayExactAcrossStampWrap(t *testing.T) {
+	const pages = 96
+	for _, start := range []uint64{flushEvery - 5, 2*flushEvery - 5} {
+		rng := rand.New(rand.NewSource(int64(start)))
+		s := NewSpace(0)
+		s.heatEpoch, s.decayFactor = start, 0.5
+		s.Pages = make([]Page, pages)
+		for i := range s.Pages {
+			s.Pages[i].decayedAt = uint32(start)
+		}
+		ref := &eagerSpace{heat: make([]float64, pages)}
+		counts := make([]uint32, pages)
+		for epoch := 0; epoch < 12; epoch++ {
+			// Only the first half of the pages is ever touched after the
+			// first epoch; the rest keep lagging across the boundary.
+			span := pages
+			if epoch > 0 {
+				span = pages / 2
+			}
+			for j := 0; j < 40; j++ {
+				pg, w := rng.Intn(span), 1+rng.Float64()*9
+				if j%2 == 0 {
+					s.Touch(pg, w)
+					ref.touch(pg, w)
+					continue
+				}
+				counts[pg] += 2
+				ref.touch(pg, w)
+				ref.touch(pg, w)
+				s.TouchCounts(counts, w)
+			}
+			f := 0.5
+			if epoch == 7 {
+				f = 0.75
+			}
+			s.DecayHeat(f)
+			ref.decay(f)
+			if pg := rng.Intn(span); s.Heat(pg) != ref.heat[pg] {
+				t.Fatalf("start %d epoch %d page %d: lazy heat %x, eager %x", start, epoch, pg, s.Heat(pg), ref.heat[pg])
+			}
+		}
+		for i := 0; i < pages; i++ {
+			if got, want := s.Heat(i), ref.heat[i]; got != want {
+				t.Fatalf("start %d page %d: lazy heat %x, eager heat %x", start, i, got, want)
+			}
+		}
+	}
+}
+
+// TestLazyDecayLongestLag: a page synced by one sweep and not read
+// again until the next lags flushEvery epochs, the most any page can;
+// left unread over two more sweeps it falls past 2^32 epochs behind its
+// last read. Every sweep and the final read must apply all the missed
+// epochs although the page's stamp keeps only 32 bits. The test jumps
+// the epoch counter from just after one sweep point to the next;
+// DecayHeat calls in between only count, so skipping them changes
+// nothing. At factor 0.5 the page's heat must reach zero; a stamp that
+// had wrapped would leave some of it.
+func TestLazyDecayLongestLag(t *testing.T) {
+	s := NewSpace(0)
+	s.heatEpoch, s.decayFactor = flushEvery-2, 0.5
+	s.Pages = []Page{{heat: 8, decayedAt: uint32(s.heatEpoch)}}
+	s.DecayHeat(0.5)
+	s.DecayHeat(0.5) // sweeps at flushEvery-1: heat 2, stamped there
+	for _, sweep := range []uint64{2*flushEvery - 1, 3*flushEvery - 1} {
+		s.heatEpoch = sweep
+		s.DecayHeat(0.5) // the page lags flushEvery epochs here
+	}
+	s.DecayHeat(0.5)
+	if got := s.Heat(0); got != 0 {
+		t.Fatalf("page heat %g after %d epochs at 0.5, want 0", got, 2*uint64(flushEvery)+2)
+	}
+	s.Touch(0, 8)
+	s.DecayHeat(0.5)
+	if got := s.Heat(0); got != 4 {
+		t.Fatalf("page heat %g one epoch after a touch of 8, want 4", got)
+	}
 }

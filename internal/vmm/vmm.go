@@ -6,6 +6,12 @@
 // Pages are simulated at 2 MiB granularity by default (the kernel's THP /
 // hot-page-selection granularity class); at 4 KiB a 512 GB working set
 // would need 134M page records for no additional modeling fidelity.
+//
+// A page record is 16 bytes and holds no pointer: its heat, its decay
+// stamp and the ID of the node it lives on. A 512 GB working set is
+// 262,144 pages, built once per deployment; without pointers the page
+// array costs half the bytes of one that holds a *topology.Node, and the
+// garbage collector neither scans it nor write-barriers its stores.
 package vmm
 
 import (
@@ -30,10 +36,11 @@ var ErrNoCapacity = errors.New("vmm: no capacity on target nodes")
 // full-array sweep was the dominant tiering-epoch cost at production
 // working-set sizes.
 type Page struct {
-	Node *topology.Node
-
 	heat      float64 // decayed access counter, valid as of decayedAt
-	decayedAt uint64  // decay epochs applied to heat so far
+	decayedAt uint32  // low 32 bits of the decay epoch heat is valid at
+
+	// NodeID is the ID of the node holding the page (topology.Node.ID).
+	NodeID int32
 }
 
 // Space is one application address space: a flat array of pages.
@@ -48,6 +55,12 @@ type Space struct {
 	heatEpoch   uint64
 	decayFactor float64
 }
+
+// flushEvery bounds how far a page's decay stamp may fall behind: pages
+// keep only the low 32 bits of the epoch, which give the exact number of
+// missed epochs while it is below 2^32. DecayHeat materializes every
+// page once per flushEvery epochs, so no page ever lags more than that.
+const flushEvery = 1 << 31
 
 // NewSpace returns an empty space with the given page size (0 ⇒ default).
 func NewSpace(pageSize uint64) *Space {
@@ -113,11 +126,12 @@ func (s *Space) Heat(page int) float64 {
 // by repeated multiplication — not math.Pow — so the result is
 // bit-identical to the eager per-epoch sweep it replaces.
 func (s *Space) syncHeat(p *Page) {
-	d := s.heatEpoch - p.decayedAt
+	now := uint32(s.heatEpoch)
+	d := now - p.decayedAt // exact: no page lags flushEvery epochs or more
 	if d == 0 {
 		return
 	}
-	p.decayedAt = s.heatEpoch
+	p.decayedAt = now
 	if p.heat == 0 {
 		return // 0 × factor is 0 for any epoch count
 	}
@@ -136,12 +150,13 @@ func (s *Space) syncHeat(p *Page) {
 // apply factor^Δepochs when next read through Touch/Heat. Calling with a
 // different factor than the previous epoch first materializes all
 // outstanding decay (an O(pages) sweep), so mixed-factor schedules stay
-// exact; steady epoch loops use one factor and never sweep.
+// exact; steady epoch loops use one factor and sweep only once per
+// flushEvery epochs, which keeps the pages' 32-bit stamps exact.
 func (s *Space) DecayHeat(factor float64) {
 	if factor < 0 || factor > 1 {
 		panic("vmm: decay factor outside [0,1]")
 	}
-	if factor != s.decayFactor && s.heatEpoch > 0 {
+	if factor != s.decayFactor && s.heatEpoch > 0 || s.heatEpoch%flushEvery == flushEvery-1 {
 		s.FlushHeat()
 	}
 	s.decayFactor = factor
@@ -150,7 +165,8 @@ func (s *Space) DecayHeat(factor float64) {
 
 // FlushHeat materializes all pending lazy decay so every page's raw
 // counter is current. Epoch loops never need this; it exists for factor
-// changes and for tests that compare against an eager sweep.
+// changes, stamp wrap-around and tests that compare against an eager
+// sweep.
 func (s *Space) FlushHeat() {
 	for i := range s.Pages {
 		s.syncHeat(&s.Pages[i])
@@ -159,8 +175,8 @@ func (s *Space) FlushHeat() {
 
 // Placement is a compact copy of a space's page placement and heat: a
 // node ID and a fully decayed heat value per page, plus the space's decay
-// epoch and factor. It holds no node pointers, so one Placement loads
-// into a space on any machine with the same node IDs.
+// epoch and factor. Like the pages it holds node IDs, so one Placement
+// loads into a space on any machine with the same node IDs.
 type Placement struct {
 	nodes       []int32
 	heat        []float64
@@ -181,22 +197,22 @@ func (s *Space) SavePlacement() *Placement {
 		decayFactor: s.decayFactor,
 	}
 	for i := range s.Pages {
-		pl.nodes[i] = int32(s.Pages[i].Node.ID)
+		pl.nodes[i] = s.Pages[i].NodeID
 		pl.heat[i] = s.Pages[i].heat
 	}
 	return pl
 }
 
-// LoadPlacement overwrites the space's placement and heat with pl,
-// resolving node IDs on m. The space must already hold as many pages as
-// pl; capacity accounting is the allocator's (see Allocator.SetUsage).
-func (s *Space) LoadPlacement(pl *Placement, m *topology.Machine) {
+// LoadPlacement overwrites the space's placement and heat with pl. The
+// space must already hold as many pages as pl; capacity accounting is the
+// allocator's (see Allocator.SetUsage).
+func (s *Space) LoadPlacement(pl *Placement) {
 	if len(pl.nodes) != len(s.Pages) {
 		panic(fmt.Sprintf("vmm: loading a %d-page placement into a %d-page space", len(pl.nodes), len(s.Pages)))
 	}
 	s.heatEpoch, s.decayFactor = pl.heatEpoch, pl.decayFactor
 	for i := range s.Pages {
-		s.Pages[i] = Page{Node: m.Node(int(pl.nodes[i])), heat: pl.heat[i], decayedAt: pl.heatEpoch}
+		s.Pages[i] = Page{heat: pl.heat[i], decayedAt: uint32(pl.heatEpoch), NodeID: pl.nodes[i]}
 	}
 }
 
@@ -233,47 +249,56 @@ func (a *Allocator) Free(n *topology.Node) uint64 {
 // Alloc grows the space by size bytes placed according to the policy.
 // On ErrNoCapacity the space is left unchanged.
 func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
-	pages := int((size + s.PageSize - 1) / s.PageSize)
-	placed, err := pol.place(a, s.PageSize, pages)
-	if err != nil {
+	n, k := len(s.Pages), int((size+s.PageSize-1)/s.PageSize)
+	grown := s.Pages
+	if cap(grown)-n < k {
+		// Not slices.Grow: under the race detector it allocates the
+		// growth twice.
+		grown = make([]Page, n, n+k)
+		copy(grown, s.Pages)
+	}
+	pages := grown[n : n+k]
+	if err := pol.place(a, s.PageSize, pages); err != nil {
 		return err
 	}
-	s.Pages = slices.Grow(s.Pages, len(placed))
-	for _, n := range placed {
-		a.used[n.ID] += s.PageSize
+	for i := range pages {
+		a.used[pages[i].NodeID] += s.PageSize
 		// New pages are born current: decay epochs before allocation do
 		// not apply to them.
-		s.Pages = append(s.Pages, Page{Node: n, decayedAt: s.heatEpoch})
+		pages[i].heat, pages[i].decayedAt = 0, uint32(s.heatEpoch)
 	}
+	s.Pages = grown[:n+k]
 	return nil
 }
 
-func (a *Allocator) release(n *topology.Node, bytes uint64) {
-	if a.used[n.ID] < bytes {
+func (a *Allocator) release(id int32, bytes uint64) {
+	if a.used[id] < bytes {
 		panic("vmm: releasing more than allocated")
 	}
-	a.used[n.ID] -= bytes
+	a.used[id] -= bytes
 }
 
 // Migrate moves one page of the space to the destination node, updating
 // capacity accounting. Returns ErrNoCapacity when dst is full.
 func (a *Allocator) Migrate(s *Space, page int, dst *topology.Node) error {
 	p := &s.Pages[page]
-	if p.Node == dst {
+	id := int32(dst.ID)
+	if p.NodeID == id {
 		return nil
 	}
-	if a.Free(dst) < uint64(s.PageSize) {
+	if a.Free(dst) < s.PageSize {
 		return ErrNoCapacity
 	}
-	a.release(p.Node, s.PageSize)
-	a.used[dst.ID] += s.PageSize
-	p.Node = dst
+	a.release(p.NodeID, s.PageSize)
+	a.used[id] += s.PageSize
+	p.NodeID = id
 	return nil
 }
 
-// Policy decides where new pages land.
+// Policy decides where new pages land: place sets NodeID on every page
+// of pages, or returns an error without charging any node.
 type Policy interface {
-	place(a *Allocator, pageSize uint64, pages int) ([]*topology.Node, error)
+	place(a *Allocator, pageSize uint64, pages []Page) error
 }
 
 // Bind places every page on the listed nodes, filling them in order —
@@ -282,7 +307,7 @@ type Bind struct {
 	Nodes []*topology.Node
 }
 
-func (b Bind) place(a *Allocator, pageSize uint64, pages int) ([]*topology.Node, error) {
+func (b Bind) place(a *Allocator, pageSize uint64, pages []Page) error {
 	return fillFirst(a, b.Nodes, pageSize, pages)
 }
 
@@ -293,7 +318,7 @@ type Preferred struct {
 	Fallback []*topology.Node
 }
 
-func (p Preferred) place(a *Allocator, pageSize uint64, pages int) ([]*topology.Node, error) {
+func (p Preferred) place(a *Allocator, pageSize uint64, pages []Page) error {
 	return fillFirst(a, append(append([]*topology.Node{}, p.Primary...), p.Fallback...), pageSize, pages)
 }
 
@@ -306,14 +331,13 @@ type InterleaveNM struct {
 	N, M     int
 }
 
-func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages int) ([]*topology.Node, error) {
+func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages []Page) error {
 	if il.N < 0 || il.M < 0 || il.N+il.M == 0 {
-		return nil, fmt.Errorf("vmm: invalid interleave ratio %d:%d", il.N, il.M)
+		return fmt.Errorf("vmm: invalid interleave ratio %d:%d", il.N, il.M)
 	}
 	if len(il.Top) == 0 && il.N > 0 || len(il.Low) == 0 && il.M > 0 {
-		return nil, errors.New("vmm: interleave tier with no nodes")
+		return errors.New("vmm: interleave tier with no nodes")
 	}
-	out := make([]*topology.Node, 0, pages)
 	// Tentative placement must be atomic: track hypothetical usage.
 	tentative := make([]uint64, len(a.used))
 	free := func(n *topology.Node) uint64 {
@@ -335,7 +359,7 @@ func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages int) ([]*topol
 	}
 	topRR, lowRR := 0, 0
 	cycle := il.N + il.M
-	for i := 0; i < pages; i++ {
+	for i := range pages {
 		var n *topology.Node
 		var ok bool
 		if i%cycle < il.N {
@@ -346,42 +370,30 @@ func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages int) ([]*topol
 			lowRR++
 		}
 		if !ok {
-			return nil, ErrNoCapacity
+			return ErrNoCapacity
 		}
 		tentative[n.ID] += pageSize
-		out = append(out, n)
+		pages[i].NodeID = int32(n.ID)
 	}
-	return out, nil
+	return nil
 }
 
 // fillFirst places pages on nodes in order, moving on when each fills.
-func fillFirst(a *Allocator, nodes []*topology.Node, pageSize uint64, pages int) ([]*topology.Node, error) {
+func fillFirst(a *Allocator, nodes []*topology.Node, pageSize uint64, pages []Page) error {
 	if len(nodes) == 0 {
-		return nil, errors.New("vmm: policy with no nodes")
+		return errors.New("vmm: policy with no nodes")
 	}
-	out := make([]*topology.Node, 0, pages)
 	tentative := make([]uint64, len(a.used))
-	ni := 0
-	for i := 0; i < pages; i++ {
-		for ni < len(nodes) {
-			n := nodes[ni]
-			if a.Free(n)-min64(tentative[n.ID], a.Free(n)) >= pageSize {
-				tentative[n.ID] += pageSize
-				out = append(out, n)
-				break
-			}
-			ni++
-		}
-		if len(out) != i+1 {
-			return nil, ErrNoCapacity
+	i := 0
+	for _, n := range nodes {
+		for i < len(pages) && a.Free(n)-min(tentative[n.ID], a.Free(n)) >= pageSize {
+			tentative[n.ID] += pageSize
+			pages[i].NodeID = int32(n.ID)
+			i++
 		}
 	}
-	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
+	if i < len(pages) {
+		return ErrNoCapacity
 	}
-	return b
+	return nil
 }

@@ -3,8 +3,10 @@ package vmm
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cxlsim/internal/topology"
 )
@@ -12,12 +14,12 @@ import (
 func testMachine() *topology.Machine { return topology.Testbed() }
 
 // shares is each node's fraction of the total mass over the space's
-// pages, where mass(i) weighs page i.
-func shares(s *Space, mass func(page int) float64) map[*topology.Node]float64 {
-	out := map[*topology.Node]float64{}
+// pages, by node ID, where mass(i) weighs page i.
+func shares(s *Space, mass func(page int) float64) map[int]float64 {
+	out := map[int]float64{}
 	total := 0.0
 	for i := range s.Pages {
-		out[s.Pages[i].Node] += mass(i)
+		out[int(s.Pages[i].NodeID)] += mass(i)
 		total += mass(i)
 	}
 	for n := range out {
@@ -26,9 +28,38 @@ func shares(s *Space, mass func(page int) float64) map[*topology.Node]float64 {
 	return out
 }
 
-// nodeShare is the fraction of the space's pages on each node.
-func nodeShare(s *Space) map[*topology.Node]float64 {
+// nodeShare is the fraction of the space's pages on each node, by ID.
+func nodeShare(s *Space) map[int]float64 {
 	return shares(s, func(int) float64 { return 1 })
+}
+
+// TestPageLayout pins the page record at 16 bytes with nothing for the
+// garbage collector to scan: a 512 GB working set is 262,144 of them per
+// deployment.
+func TestPageLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Page{}); size != 16 {
+		t.Fatalf("Page is %d bytes, want 16", size)
+	}
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			return true
+		case reflect.Array:
+			return holdsPointer(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if holdsPointer(t.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if typ := reflect.TypeOf(Page{}); holdsPointer(typ) {
+		t.Fatalf("%v holds a pointer, slice, map, string or interface", typ)
+	}
 }
 
 func TestAllocBindFillsInOrder(t *testing.T) {
@@ -43,7 +74,7 @@ func TestAllocBindFillsInOrder(t *testing.T) {
 		t.Fatalf("pages = %d, want 10", len(s.Pages))
 	}
 	for i := range s.Pages {
-		if s.Pages[i].Node != dram {
+		if s.Pages[i].NodeID != int32(dram.ID) {
 			t.Fatal("bind page landed off-node")
 		}
 	}
@@ -102,10 +133,10 @@ func TestPreferredOverflows(t *testing.T) {
 	}
 	onDram, onCXL := 0, 0
 	for i := range s.Pages {
-		switch s.Pages[i].Node {
-		case dram:
+		switch int(s.Pages[i].NodeID) {
+		case dram.ID:
 			onDram++
-		case cxl:
+		case cxl.ID:
 			onCXL++
 		}
 	}
@@ -125,11 +156,11 @@ func TestInterleaveNMRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	share := nodeShare(s)
-	if math.Abs(share[dram]-0.75) > 0.01 {
-		t.Fatalf("3:1 interleave dram share = %v, want 0.75", share[dram])
+	if math.Abs(share[dram.ID]-0.75) > 0.01 {
+		t.Fatalf("3:1 interleave dram share = %v, want 0.75", share[dram.ID])
 	}
-	if math.Abs(share[cxl]-0.25) > 0.01 {
-		t.Fatalf("3:1 interleave cxl share = %v, want 0.25", share[cxl])
+	if math.Abs(share[cxl.ID]-0.25) > 0.01 {
+		t.Fatalf("3:1 interleave cxl share = %v, want 0.25", share[cxl.ID])
 	}
 }
 
@@ -143,8 +174,8 @@ func TestInterleaveRoundRobinsWithinTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	share := nodeShare(s)
-	if math.Abs(share[cxls[0]]-share[cxls[1]]) > 0.02 {
-		t.Fatalf("low tier not balanced: %v vs %v", share[cxls[0]], share[cxls[1]])
+	if math.Abs(share[cxls[0].ID]-share[cxls[1].ID]) > 0.02 {
+		t.Fatalf("low tier not balanced: %v vs %v", share[cxls[0].ID], share[cxls[1].ID])
 	}
 }
 
@@ -179,7 +210,7 @@ func TestMigrate(t *testing.T) {
 	if err := a.Migrate(s, 0, cxl); err != nil {
 		t.Fatal(err)
 	}
-	if s.Pages[0].Node != cxl {
+	if s.Pages[0].NodeID != int32(cxl.ID) {
 		t.Fatal("page did not move")
 	}
 	if a.used[dram.ID] != 0 || a.used[cxl.ID] != DefaultPageSize {
@@ -249,18 +280,18 @@ func TestHeatShare(t *testing.T) {
 	if err := a.Alloc(s, 10*DefaultPageSize, pol); err != nil {
 		t.Fatal(err)
 	}
-	if share := nodeShare(s); math.Abs(share[dram]-0.5) > 0.01 {
-		t.Fatalf("capacity share = %v, want 0.5", share[dram])
+	if share := nodeShare(s); math.Abs(share[dram.ID]-0.5) > 0.01 {
+		t.Fatalf("capacity share = %v, want 0.5", share[dram.ID])
 	}
 	// Heat up only DRAM pages.
 	for i := range s.Pages {
-		if s.Pages[i].Node == dram {
+		if s.Pages[i].NodeID == int32(dram.ID) {
 			s.Touch(i, 100)
 		}
 	}
 	hs := shares(s, s.Heat)
-	if hs[dram] < 0.99 {
-		t.Fatalf("hot share = %v, want ≈1", hs[dram])
+	if hs[dram.ID] < 0.99 {
+		t.Fatalf("hot share = %v, want ≈1", hs[dram.ID])
 	}
 }
 
@@ -305,7 +336,7 @@ func TestPropertyInterleaveShares(t *testing.T) {
 		if err := a.Alloc(s, uint64(pages)*DefaultPageSize, pol); err != nil {
 			return false
 		}
-		share := nodeShare(s)[m.DRAMNodes(0)[0]]
+		share := nodeShare(s)[m.DRAMNodes(0)[0].ID]
 		want := float64(n) / float64(n+mm)
 		return math.Abs(share-want) < 0.01
 	}
@@ -335,7 +366,7 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 				if op%7 == 0 {
 					// Free the whole space.
 					for i := range s.Pages {
-						a.release(s.Pages[i].Node, s.PageSize)
+						a.release(s.Pages[i].NodeID, s.PageSize)
 					}
 					s.Pages = s.Pages[:0]
 				}
